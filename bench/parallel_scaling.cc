@@ -1,6 +1,7 @@
 // Parallel scaling of the exec layer (docs/PERFORMANCE.md): builds one
 // fig11-scale disk-resident workload and times the basic search, the RF
-// tree, and the single-scan cube at num_threads = 1, 2, 4. Every parallel
+// tree, and the BellwetherState cube (Init -> ApplyDelta in 64-region
+// batches -> Finalize) at num_threads = 1, 2, 4. Every parallel
 // run is checked in-bench for bit-identity against the serial build (the
 // determinism contract), and the results are written as JSON for the CI
 // artifact:
@@ -19,6 +20,7 @@
 #include "bench/bench_util.h"
 #include "core/basic_search.h"
 #include "core/bellwether_cube.h"
+#include "core/bellwether_state.h"
 #include "core/bellwether_tree.h"
 #include "datagen/scalability.h"
 #include "storage/training_data.h"
@@ -75,6 +77,25 @@ struct BuildResult {
   double cube_seconds = 0.0;
 };
 
+// The production cube path: the source's region sets stream into the state
+// in 64-region delta batches, then one Finalize.
+Result<core::BellwetherCube> BuildStateCube(
+    storage::TrainingDataSource* source,
+    const std::shared_ptr<const core::ItemSubsetSpace>& subsets,
+    const core::CubeBuildConfig& config) {
+  core::BellwetherState::Options options;
+  options.config = config;
+  BW_ASSIGN_OR_RETURN(std::unique_ptr<core::BellwetherState> state,
+                      core::BellwetherState::Init(subsets, options));
+  core::StateDeltaSink sink(state.get(), /*sets_per_batch=*/64);
+  BW_RETURN_IF_ERROR(
+      source->Scan([&](const storage::RegionTrainingSet& set) -> Status {
+        return sink.Append(storage::RegionTrainingSet(set));
+      }));
+  BW_RETURN_IF_ERROR(sink.Finish().status());
+  return state->Finalize();
+}
+
 BuildResult RunAll(BenchRunner* runner, Workload& w,
                    const std::shared_ptr<const core::ItemSubsetSpace>& subsets,
                    int32_t num_threads) {
@@ -107,8 +128,7 @@ BuildResult RunAll(BenchRunner* runner, Workload& w,
                                                tree_config);
   });
   const double t_cube = runner->TimePhase(("cube" + suffix).c_str(), [&] {
-    cube = core::BuildBellwetherCubeSingleScan(w.source.get(), subsets,
-                                               cube_config);
+    cube = BuildStateCube(w.source.get(), subsets, cube_config);
   });
   if (!search.ok() || !tree.ok() || !cube.ok()) {
     std::fprintf(stderr, "build failed at num_threads=%d\n", num_threads);

@@ -7,7 +7,6 @@
 
 #include "common/check.h"
 #include "common/random.h"
-#include "core/bellwether_state.h"
 #include "core/cube_build_internal.h"
 #include "obs/logger.h"
 #include "obs/metrics.h"
@@ -107,6 +106,27 @@ bool ItemMasked(const std::vector<uint8_t>* item_mask, int32_t item) {
   return item_mask != nullptr &&
          (static_cast<size_t>(item) >= item_mask->size() ||
           (*item_mask)[item] == 0);
+}
+
+std::vector<std::vector<int32_t>> ContainingSignificantSubsets(
+    const ItemSubsetSpace& subsets, const std::vector<SubsetId>& significant,
+    const std::vector<uint8_t>* item_mask) {
+  // Dense SubsetId -> significant index (or -1).
+  std::vector<int64_t> sig_index(subsets.NumSubsets(), -1);
+  for (size_t k = 0; k < significant.size(); ++k) {
+    sig_index[significant[k]] = static_cast<int64_t>(k);
+  }
+  std::vector<std::vector<int32_t>> containing(subsets.num_items());
+  for (int32_t i = 0; i < subsets.num_items(); ++i) {
+    if (ItemMasked(item_mask, i)) continue;
+    subsets.ForEachContainingSubset(i, [&](SubsetId s) {
+      if (sig_index[s] >= 0) {
+        containing[i].push_back(static_cast<int32_t>(sig_index[s]));
+      }
+    });
+    std::sort(containing[i].begin(), containing[i].end());
+  }
+  return containing;
 }
 
 RegionRowsVisitor SourceRowsVisitor(storage::TrainingDataSource* source) {
@@ -239,7 +259,7 @@ Result<BellwetherCube> AssembleCube(
   cube.set_build_telemetry(telemetry);
   // Flight-recorder document. Config deliberately omits
   // config.exec.num_threads and the checkpoint path: logical sections (and
-  // the fingerprint) must match serial/parallel and resumed/uninterrupted
+  // the fingerprint) must match serial/parallel and reopened/uninterrupted
   // builds of the same cube.
   obs::RunReport report{std::string(builder_name)};
   report.SetConfig("cube.min_subset_size",
@@ -256,8 +276,6 @@ Result<BellwetherCube> AssembleCube(
   report.SetCount("cube.ridge_refits", telemetry.ridge_refits);
   report.SetCount("cube.mean_fallbacks", telemetry.mean_fallbacks);
   report.SetCount("cube.fallback_picks", telemetry.fallback_picks);
-  report.SetCount("cube.checkpoints_saved", telemetry.checkpoints_saved);
-  report.SetCount("cube.resumed_regions", telemetry.resumed_regions);
   report.AddPhase("cube.build", telemetry.build_seconds);
   cube.set_build_report(std::move(report));
   return cube;
@@ -268,8 +286,8 @@ Result<BellwetherCube> AssembleCube(
 namespace {
 
 // Converts per-subset picks into the final cube: the cell-derivation and
-// assembly phases back-to-back, for the one-shot builders that still hold
-// their picks in a local vector.
+// assembly phases back-to-back, for the reference builders that hold their
+// picks in a local vector.
 Result<BellwetherCube> FinalizeCube(
     std::string_view builder_name, storage::TrainingDataSource* source,
     std::shared_ptr<const ItemSubsetSpace> subsets,
@@ -458,21 +476,43 @@ Result<BellwetherCube> BuildBellwetherCubeSingleScan(
     std::shared_ptr<const ItemSubsetSpace> subsets,
     const CubeBuildConfig& config, const std::vector<uint8_t>* item_mask) {
   obs::TraceSpan span("BuildBellwetherCubeSingleScan", "cube");
-  // Re-expressed over the algebraic state core: Init captures the subset
-  // lattice, IngestScan performs the historical single scan (with its
-  // checkpoint/resume and parallel merge machinery), Finalize derives the
-  // cells. Artifacts are bit-identical to the pre-refactor builder.
-  BellwetherState::Options options;
-  options.config = config;
-  options.incremental = false;
-  options.report_name = "cube_single_scan";
-  BW_ASSIGN_OR_RETURN(
-      std::unique_ptr<BellwetherState> state,
-      BellwetherState::Init(std::move(subsets), std::move(options),
-                            item_mask));
-  BW_RETURN_IF_ERROR(state->IngestScan(source));
+  Stopwatch build_watch;
+  CubeBuildTelemetry telemetry;
+  const std::vector<int32_t> sizes =
+      internal::SubsetSizes(*subsets, item_mask);
+  const std::vector<SubsetId> significant =
+      internal::SignificantSubsets(sizes, config.min_subset_size);
+  const std::vector<std::vector<int32_t>> containing =
+      internal::ContainingSignificantSubsets(*subsets, significant, item_mask);
+  std::vector<internal::Pick> picks(significant.size());
+
+  std::vector<RegressionSuffStats> stats;
+  BW_RETURN_IF_ERROR(source->Scan([&](const RegionTrainingSet& set)
+                                      -> Status {
+    if (stats.empty()) {
+      stats.assign(significant.size(), RegressionSuffStats(set.num_features));
+    } else {
+      for (auto& s : stats) s.Reset();
+    }
+    // "Build a model h_r on r for S" for every significant subset S: each
+    // row contributes to every containing subset's statistics directly.
+    for (size_t row = 0; row < set.num_examples(); ++row) {
+      for (int32_t k : containing[set.items[row]]) {
+        stats[k].Add(set.row(row), set.targets[row], set.weight(row));
+      }
+    }
+    for (size_t k = 0; k < significant.size(); ++k) {
+      picks[k].Offer(
+          TrainingErrorOfStats(stats[k], config.min_examples_per_model),
+          set.region, stats[k]);
+    }
+    return Status::OK();
+  }));
+  telemetry.data_passes = 1;
   Metrics().single_scan_passes->Increment(1);
-  return state->Finalize();
+  return FinalizeCube("cube_single_scan", source, std::move(subsets), config,
+                      item_mask, sizes, significant, std::move(picks),
+                      telemetry, build_watch);
 }
 
 Result<BellwetherCube> BuildBellwetherCubeOptimized(

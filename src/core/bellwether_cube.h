@@ -111,20 +111,16 @@ struct CubeBuildConfig {
   bool compute_cv_stats = true;
   int32_t cv_folds = 10;
   uint64_t seed = 17;
-  /// Checkpoint/resume of long builds (single-scan builder only). When
-  /// non-empty, the builder writes its per-subset pick state to this path
-  /// every `checkpoint_every` regions, and on startup resumes from a
-  /// checkpoint whose build fingerprint matches — producing output
-  /// bit-identical to an uninterrupted build.
+  /// BellwetherState only: when non-empty, ApplyDelta saves the state to
+  /// this path after every applied batch; after a crash, Open the save and
+  /// re-apply the batches that followed it. The three reference builders
+  /// write no files.
   std::string checkpoint_path;
-  int32_t checkpoint_every = 1;
-  /// Parallel region scoring (single-scan builder only; the naive and
-  /// optimized builders are reference implementations and stay serial).
-  /// Per-region <MinError, Size> accumulators are computed on workers and
-  /// merged in scan order, so the cube — and every checkpoint written along
-  /// the way — is bit-identical to the serial build for every thread count.
-  /// Checkpoint fingerprints do not cover the thread count, so a build may
-  /// resume a checkpoint written with a different one.
+  /// BellwetherState only: ApplyDelta folds regions on this many workers
+  /// and commits them in ascending region order, so the state is
+  /// bit-identical to the serial one for every thread count. The state
+  /// fingerprint does not cover it, so a save reopens at any thread count.
+  /// The three reference builders run serially.
   exec::BellwetherExecOptions exec;
 };
 
@@ -155,8 +151,6 @@ struct CubeBuildTelemetry {
   int64_t ridge_refits = 0;       // cell fits recovered by the ridge tier
   int64_t mean_fallbacks = 0;     // cell fits degraded to the mean model
   int64_t fallback_picks = 0;     // cells placed by the most-examples fallback
-  int64_t checkpoints_saved = 0;  // checkpoint writes during the scan
-  int64_t resumed_regions = 0;    // regions skipped thanks to a checkpoint
   double build_seconds = 0.0;
 };
 
@@ -224,7 +218,8 @@ Result<BellwetherCube> BuildBellwetherCubeNaive(
 
 /// Single-scan algorithm (§6.3, Fig. 7): one sequential scan; per region,
 /// builds a model for each significant subset independently. Identical
-/// output to the naive algorithm (Lemma 2).
+/// output to the naive algorithm (Lemma 2). Serial, like the naive and
+/// optimized builders: the production cube engine is BellwetherState.
 Result<BellwetherCube> BuildBellwetherCubeSingleScan(
     storage::TrainingDataSource* source,
     std::shared_ptr<const ItemSubsetSpace> subsets,

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/stopwatch.h"
 #include "core/eval_util.h"
 #include "core/model_io.h"
 #include "core/search_internal.h"
@@ -103,28 +104,11 @@ Result<std::unique_ptr<BellwetherState>> BellwetherState::Init(
   state->sizes_ = internal::SubsetSizes(space, mask);
   state->significant_ =
       internal::SignificantSubsets(state->sizes_, config.min_subset_size);
-  // Dense SubsetId -> significant index (or -1).
-  state->sig_index_.assign(space.NumSubsets(), -1);
-  for (size_t k = 0; k < state->significant_.size(); ++k) {
-    state->sig_index_[state->significant_[k]] = static_cast<int64_t>(k);
-  }
-  // Per item: the significant subsets containing it, ascending.
-  state->containing_.resize(space.num_items());
-  for (int32_t i = 0; i < space.num_items(); ++i) {
-    if (internal::ItemMasked(mask, i)) continue;
-    space.ForEachContainingSubset(i, [&](SubsetId s) {
-      if (state->sig_index_[s] >= 0) {
-        state->containing_[i].push_back(
-            static_cast<int32_t>(state->sig_index_[s]));
-      }
-    });
-    std::sort(state->containing_[i].begin(), state->containing_[i].end());
-  }
+  state->containing_ =
+      internal::ContainingSignificantSubsets(space, state->significant_, mask);
   state->dirty_.Resize(space.NumSubsets());
   state->cell_cache_.resize(state->significant_.size());
-  // State identity: everything the derived skeleton depends on. Distinct
-  // from the scan checkpoint fingerprint inside IngestScan, which also
-  // covers the source shape (its historical formula, kept bit-compatible).
+  // State identity: everything the derived skeleton depends on.
   robust::FingerprintBuilder fp;
   fp.Add(static_cast<uint64_t>(space.NumSubsets()))
       .Add(static_cast<uint64_t>(config.min_subset_size))
@@ -144,195 +128,6 @@ Result<std::unique_ptr<BellwetherState>> BellwetherState::Init(
   }
   state->fingerprint_ = fp.value();
   return state;
-}
-
-Status BellwetherState::IngestScan(storage::TrainingDataSource* source) {
-  if (options_.incremental) {
-    return Status::FailedPrecondition(
-        "IngestScan is the one-shot path; incremental states take ApplyDelta");
-  }
-  if (scanned_) {
-    return Status::FailedPrecondition("IngestScan already performed");
-  }
-  const CubeBuildConfig& config = options_.config;
-  picks_.assign(significant_.size(), internal::Pick{});
-
-  // ---- Checkpoint/resume (docs/ROBUSTNESS.md) ----
-  // The build fingerprint ties a checkpoint to this exact build: subset
-  // space, significant-subset list, pick-relevant config, and source shape.
-  uint64_t fingerprint = 0;
-  int64_t resume_from = 0;
-  const bool checkpointing = !config.checkpoint_path.empty();
-  if (checkpointing) {
-    robust::FingerprintBuilder fp;
-    fp.Add(static_cast<uint64_t>(subsets_->NumSubsets()))
-        .Add(static_cast<uint64_t>(source->num_region_sets()))
-        .Add(static_cast<uint64_t>(config.min_subset_size))
-        .Add(static_cast<uint64_t>(config.min_examples_per_model));
-    for (SubsetId sid : significant_) fp.Add(static_cast<uint64_t>(sid));
-    fingerprint = fp.value();
-    auto ckpt = robust::LoadCubeCheckpoint(config.checkpoint_path);
-    if (ckpt.ok() && ckpt.value().fingerprint == fingerprint &&
-        ckpt.value().picks.size() == significant_.size()) {
-      for (size_t k = 0; k < picks_.size(); ++k) {
-        robust::PickCheckpoint& pk = ckpt.value().picks[k];
-        picks_[k].error = pk.error;
-        picks_[k].region = pk.region;
-        picks_[k].stats = std::move(pk.stats);
-        picks_[k].fallback_region = pk.fallback_region;
-        picks_[k].fallback_examples = pk.fallback_examples;
-        picks_[k].fallback_stats = std::move(pk.fallback_stats);
-      }
-      resume_from = ckpt.value().regions_processed;
-      telemetry_.resumed_regions = resume_from;
-      obs::DefaultMetrics()
-          .GetCounter(obs::kMCubeCheckpointResumes)
-          ->Increment();
-      BW_LOG(obs::LogLevel::kInfo, "cube")
-          << "resuming cube build from checkpoint at region " << resume_from;
-    }
-  }
-  auto save_checkpoint = [&](int64_t regions_processed) -> Status {
-    robust::CubeBuildCheckpoint ckpt;
-    ckpt.fingerprint = fingerprint;
-    ckpt.regions_processed = regions_processed;
-    ckpt.picks.resize(picks_.size());
-    for (size_t k = 0; k < picks_.size(); ++k) {
-      robust::PickCheckpoint& pk = ckpt.picks[k];
-      pk.error = picks_[k].error;
-      pk.region = picks_[k].region;
-      pk.stats = picks_[k].stats;
-      pk.fallback_region = picks_[k].fallback_region;
-      pk.fallback_examples = picks_[k].fallback_examples;
-      pk.fallback_stats = picks_[k].fallback_stats;
-    }
-    BW_RETURN_IF_ERROR(
-        robust::SaveCubeCheckpoint(ckpt, config.checkpoint_path));
-    ++telemetry_.checkpoints_saved;
-    obs::DefaultMetrics()
-        .GetCounter(obs::kMCubeCheckpointsSaved)
-        ->Increment();
-    return Status::OK();
-  };
-
-  std::vector<RegressionSuffStats> stats;
-  int64_t region_pos = 0;
-
-  // Tail work of one *merged* region, shared by the serial and parallel
-  // paths: count it, save a checkpoint on the configured cadence, and honor
-  // the injected-crash fault. In the parallel build this runs in ascending
-  // region order on the scan thread, so checkpoint contents and crash
-  // arrival counts are bit-identical to the serial build.
-  auto finish_region = [&]() -> Status {
-    ++region_pos;
-    if (checkpointing &&
-        region_pos % std::max(config.checkpoint_every, 1) == 0) {
-      BW_RETURN_IF_ERROR(save_checkpoint(region_pos));
-    }
-    // Crash injection sits after the checkpoint write, modeling a process
-    // killed between completing a region and starting the next one.
-    if (robust::ShouldCrash(robust::kFaultCubeScan)) {
-      return Status::IoError(
-          "injected crash during cube scan (simulated kill)");
-    }
-    return Status::OK();
-  };
-
-  const int32_t num_threads = exec::ResolveNumThreads(config.exec.num_threads);
-  std::unique_ptr<exec::ThreadPool> pool;
-  if (num_threads > 1) pool = std::make_unique<exec::ThreadPool>(num_threads);
-  Status scan_status;
-  if (pool == nullptr) {
-    scan_status = source->Scan([&](const RegionTrainingSet& set) -> Status {
-      // Fast-forward past regions a resumed checkpoint already accounts for
-      // (the physical scan still delivers them; their compute is skipped).
-      if (region_pos < resume_from) {
-        ++region_pos;
-        return Status::OK();
-      }
-      if (stats.empty()) {
-        stats.assign(significant_.size(),
-                     RegressionSuffStats(set.num_features));
-      } else {
-        for (auto& s : stats) s.Reset();
-      }
-      // "Build a model h_r on r for S" for every significant subset S: each
-      // row contributes to every containing subset's statistics directly.
-      for (size_t row = 0; row < set.num_examples(); ++row) {
-        for (int32_t k : containing_[set.items[row]]) {
-          stats[k].Add(set.row(row), set.targets[row], set.weight(row));
-        }
-      }
-      for (size_t k = 0; k < significant_.size(); ++k) {
-        picks_[k].Offer(
-            TrainingErrorOfStats(stats[k], config.min_examples_per_model),
-            set.region, stats[k]);
-      }
-      return finish_region();
-    });
-  } else {
-    // Parallel path: each region's per-subset <MinError, Size> accumulators
-    // are computed on a worker from a private copy of the training set (row
-    // order, and hence every floating-point accumulation, matches the serial
-    // loop exactly), then offered to the shared picks in scan order — the
-    // same Offer() sequence the serial loop performs, so cube cells,
-    // checkpoints, and crash points are bit-identical for any thread count.
-    struct RegionCubeStats {
-      olap::RegionId region = olap::kInvalidRegion;
-      std::vector<RegressionSuffStats> stats;  // per significant subset
-      std::vector<double> error;
-    };
-    int64_t scan_pos = 0;
-    exec::MergeInSubmissionOrder<RegionCubeStats> reducer(
-        pool.get(), /*max_outstanding=*/2 * static_cast<size_t>(num_threads),
-        "cube.scan_merge", [&](size_t, RegionCubeStats r) -> Status {
-          for (size_t k = 0; k < significant_.size(); ++k) {
-            picks_[k].Offer(r.error[k], r.region, r.stats[k]);
-          }
-          return finish_region();
-        });
-    scan_status = source->Scan([&](const RegionTrainingSet& set) -> Status {
-      if (scan_pos < resume_from) {
-        // The resume skip is a strict prefix of the scan, before anything
-        // was submitted to the pool, so the merge-side region counter can
-        // be advanced inline.
-        ++scan_pos;
-        ++region_pos;
-        return Status::OK();
-      }
-      ++scan_pos;
-      return reducer.Submit(
-          [this, &config, set = set]() {
-            RegionCubeStats r;
-            r.region = set.region;
-            r.stats.assign(significant_.size(),
-                           RegressionSuffStats(set.num_features));
-            for (size_t row = 0; row < set.num_examples(); ++row) {
-              for (int32_t k : containing_[set.items[row]]) {
-                r.stats[k].Add(set.row(row), set.targets[row],
-                               set.weight(row));
-              }
-            }
-            r.error.resize(significant_.size());
-            for (size_t k = 0; k < significant_.size(); ++k) {
-              r.error[k] = TrainingErrorOfStats(
-                  r.stats[k], config.min_examples_per_model);
-            }
-            return r;
-          });
-    });
-    if (scan_status.ok()) scan_status = reducer.Finish();
-  }
-  BW_RETURN_IF_ERROR(scan_status);
-  if (checkpointing) {
-    // Final state, in case the region count is not a multiple of the
-    // checkpoint interval.
-    BW_RETURN_IF_ERROR(save_checkpoint(region_pos));
-  }
-  telemetry_.data_passes = 1;
-  scan_source_ = source;
-  scanned_ = true;
-  return Status::OK();
 }
 
 BellwetherState::RegionSlot& BellwetherState::SlotFor(olap::RegionId region,
@@ -390,10 +185,6 @@ Status BellwetherState::ValidateDeltaBatch(
 }
 
 Status BellwetherState::ApplyDelta(std::vector<RegionTrainingSet> batch) {
-  if (!options_.incremental) {
-    return Status::FailedPrecondition(
-        "ApplyDelta requires an incremental BellwetherState");
-  }
   // Transactional entry fault: fires before anything is mutated, so a
   // caller can retry the whole batch.
   BW_RETURN_IF_ERROR(robust::MaybeInjectIo(robust::kFaultStateDelta));
@@ -526,33 +317,7 @@ internal::RegionRowsVisitor BellwetherState::SlotRowsVisitor() const {
   };
 }
 
-Result<BellwetherCube> BellwetherState::FinalizeOneShot() {
-  if (!scanned_) {
-    return Status::FailedPrecondition(
-        "one-shot Finalize requires a completed IngestScan");
-  }
-  const CubeBuildConfig& config = options_.config;
-  const std::vector<uint8_t>* mask = has_mask_ ? &item_mask_ : nullptr;
-  internal::RegionRowsVisitor rows;
-  if (config.compute_cv_stats) {
-    rows = internal::SourceRowsVisitor(scan_source_);
-  }
-  std::vector<CubeCell> cells;
-  cells.reserve(significant_.size());
-  for (size_t k = 0; k < significant_.size(); ++k) {
-    const SubsetId sid = significant_[k];
-    BW_ASSIGN_OR_RETURN(
-        CubeCell cell,
-        internal::BuildCubeCell(sid, sizes_[sid], picks_[k], config, mask,
-                                *subsets_, rows));
-    cells.push_back(std::move(cell));
-  }
-  return internal::AssembleCube(options_.report_name, subsets_, config,
-                                std::move(cells), telemetry_, build_watch_);
-}
-
 Result<BellwetherCube> BellwetherState::Finalize() {
-  if (!options_.incremental) return FinalizeOneShot();
   obs::TraceSpan span("BellwetherState::Finalize", "state");
   Stopwatch finalize_watch;
   const CubeBuildConfig& config = options_.config;
@@ -598,7 +363,7 @@ Result<BellwetherCube> BellwetherState::Finalize() {
   std::vector<CubeCell> cells = cell_cache_;
   BW_ASSIGN_OR_RETURN(
       BellwetherCube cube,
-      internal::AssembleCube(options_.report_name, subsets_, config,
+      internal::AssembleCube("cube_state", subsets_, config,
                              std::move(cells), telemetry, finalize_watch));
   // Operational timing phases of the incremental path. Phases are excluded
   // from the report's logical fingerprint, so delta-maintained and rebuilt
@@ -612,10 +377,6 @@ Result<BellwetherCube> BellwetherState::Finalize() {
 
 Result<BasicSearchResult> BellwetherState::FinalizeSearch(
     const BasicSearchOptions& options) {
-  if (!options_.incremental) {
-    return Status::FailedPrecondition(
-        "FinalizeSearch requires an incremental BellwetherState");
-  }
   obs::TraceSpan span("BellwetherState::FinalizeSearch", "state");
   // Cached per-region scores are keyed by the scoring options; a change
   // invalidates every cache entry (delta rows invalidate per region).
@@ -703,10 +464,6 @@ Result<std::unique_ptr<BellwetherState>> BellwetherState::Open(
 }
 
 Status BellwetherState::SerializeTo(std::ostream& out) const {
-  if (!options_.incremental) {
-    return Status::FailedPrecondition(
-        "only incremental states are persistable");
-  }
   const CubeBuildConfig& c = options_.config;
   out << "fingerprint " << fingerprint_ << "\n";
   out << "config " << c.min_subset_size << ' ' << c.min_examples_per_model
@@ -775,7 +532,7 @@ Result<std::unique_ptr<BellwetherState>> BellwetherState::DeserializeFrom(
   if (!(in >> tag >> stored_fp) || tag != "fingerprint") {
     return Status::IoError("truncated state (fingerprint)");
   }
-  Options options;  // incremental, report_name "cube_state"
+  Options options;
   CubeBuildConfig& c = options.config;
   int cv = 0;
   if (!(in >> tag >> c.min_subset_size >> c.min_examples_per_model >> cv >>

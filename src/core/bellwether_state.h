@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/stopwatch.h"
 #include "core/basic_search.h"
 #include "core/bellwether_cube.h"
 #include "core/cube_build_internal.h"
@@ -26,9 +25,7 @@ namespace bellwether::core {
 ///
 ///   Init        capture the subset lattice, significant subsets, and item
 ///               mask (immutable for the state's lifetime)
-///   Ingest      fold fact rows in — either one historical scan
-///               (IngestScan, the one-shot mode BuildBellwetherCubeSingleScan
-///               is expressed in) or incremental row batches (ApplyDelta)
+///   ApplyDelta  fold batches of fact rows into the retained accumulators
 ///   Finalize    derive models / errors / min-error picks into a
 ///               BellwetherCube (or a BasicSearchResult via FinalizeSearch)
 ///
@@ -40,11 +37,12 @@ namespace bellwether::core {
 /// a dirty set; Finalize re-derives only dirty cells and reuses the cached
 /// remainder.
 ///
-/// Incremental states persist via model_io (SaveBellwetherState /
-/// LoadBellwetherState, format "bellwether-state-v3"): packed-triangle
-/// suff-stats and retained rows on the wire, per-cell errors recomputed on
-/// load. A reopened state re-derives every cell on its first Finalize, so
-/// kill/reopen/re-apply converges to the same artifacts.
+/// States persist via model_io (SaveBellwetherState / LoadBellwetherState,
+/// format "bellwether-state-v3"): packed-triangle suff-stats and retained
+/// rows on the wire, per-cell errors recomputed on load. A reopened state
+/// re-derives every cell on its first Finalize, so kill/reopen/re-apply
+/// converges to the same artifacts. This save is the only checkpoint format:
+/// with config.checkpoint_path set, ApplyDelta saves at every batch boundary.
 ///
 /// Not thread-safe: one logical owner drives the phase sequence (ApplyDelta
 /// parallelizes internally and merges in submission order). An ApplyDelta
@@ -54,13 +52,6 @@ class BellwetherState {
  public:
   struct Options {
     CubeBuildConfig config;
-    /// Incremental mode retains per-region rows and sufficient statistics
-    /// so ApplyDelta / Finalize / FinalizeSearch can maintain artifacts
-    /// over time. One-shot mode (BuildBellwetherCubeSingleScan) streams a
-    /// source once via IngestScan and finalizes against it.
-    bool incremental = true;
-    /// Name of the flight-recorder report attached to finalized cubes.
-    std::string report_name = "cube_state";
   };
 
   /// Phase 1: derives the immutable build skeleton (subset sizes,
@@ -73,14 +64,8 @@ class BellwetherState {
   BellwetherState(const BellwetherState&) = delete;
   BellwetherState& operator=(const BellwetherState&) = delete;
 
-  /// Phase 2, one-shot mode: the historical single scan, including its
-  /// checkpoint/resume machinery and the in-submission-order parallel merge
-  /// (bit-identical across thread counts). `source` must stay alive until
-  /// Finalize() (the CV post-pass reads rows back from it).
-  Status IngestScan(storage::TrainingDataSource* source);
-
-  /// Phase 2, incremental mode: folds a batch of new fact rows into the
-  /// retained per-(region, subset) accumulators and appends the rows to the
+  /// Phase 2: folds a batch of new fact rows into the retained
+  /// per-(region, subset) accumulators and appends the rows to the
   /// per-region row store. Sets must be strictly ascending by distinct
   /// RegionId within the batch (the same region may recur across batches;
   /// its retained rows concatenate in ingest order, so they are not
@@ -91,27 +76,25 @@ class BellwetherState {
   /// after each successful batch (batch-boundary durability).
   Status ApplyDelta(std::vector<storage::RegionTrainingSet> batch);
 
-  /// Phase 3: derives the cube. One-shot mode finalizes the scanned picks
-  /// exactly as the historical builder did. Incremental mode re-derives the
-  /// cells of dirty subsets (all of them on the first Finalize after Init or
-  /// Open) and reuses cached cells for the rest — cell contents, cube
-  /// artifact bytes, and the report's logical sections are bit-identical to
-  /// a from-scratch rebuild of the same rows. Callable repeatedly in
-  /// incremental mode as deltas continue to arrive.
+  /// Phase 3: derives the cube. Re-derives the cells of dirty subsets (all
+  /// of them on the first Finalize after Init or Open) and reuses cached
+  /// cells for the rest — cell contents, cube artifact bytes, and the
+  /// report's logical sections are bit-identical to a from-scratch rebuild
+  /// of the same rows. Callable repeatedly as deltas continue to arrive.
   Result<BellwetherCube> Finalize();
 
   /// Derives a basic bellwether search result over the retained per-region
-  /// rows (incremental mode only), equivalent to RunBasicBellwetherSearch
-  /// over a source holding the same rows in ascending-region order.
+  /// rows, equivalent to RunBasicBellwetherSearch over a source holding the
+  /// same rows in ascending-region order.
   /// Per-region scores are cached and invalidated by new delta rows for the
   /// region or a change of scoring options.
   Result<BasicSearchResult> FinalizeSearch(const BasicSearchOptions& options);
 
-  /// Persists an incremental state (model_io, "bellwether-state-v3");
-  /// atomic tmp + rename.
+  /// Persists the state (model_io, "bellwether-state-v3"); atomic tmp +
+  /// rename.
   Status Save(const std::string& path) const;
 
-  /// Reopens a saved incremental state against the recreated subset space.
+  /// Reopens a saved state against the recreated subset space.
   /// The stored fingerprint must match the one recomputed from the space,
   /// config, and mask (kFailedPrecondition otherwise — stale or foreign
   /// states never silently corrupt a build).
@@ -162,7 +145,6 @@ class BellwetherState {
   Status ValidateDeltaBatch(
       const std::vector<storage::RegionTrainingSet>& batch) const;
   internal::RegionRowsVisitor SlotRowsVisitor() const;
-  Result<BellwetherCube> FinalizeOneShot();
 
   // ---- Immutable after Init ----
   std::shared_ptr<const ItemSubsetSpace> subsets_;
@@ -171,10 +153,8 @@ class BellwetherState {
   std::vector<uint8_t> item_mask_;
   std::vector<int32_t> sizes_;            // per SubsetId
   std::vector<SubsetId> significant_;     // ascending
-  std::vector<int64_t> sig_index_;        // SubsetId -> index into significant_
   std::vector<std::vector<int32_t>> containing_;  // item -> sig indices, asc
   uint64_t fingerprint_ = 0;
-  Stopwatch build_watch_;
 
   // ---- Mutable algebraic state ----
   std::map<olap::RegionId, RegionSlot> slots_;  // ascending region order
@@ -185,15 +165,9 @@ class BellwetherState {
   int64_t delta_batches_ = 0;
   double delta_seconds_ = 0.0;
   uint64_t search_options_key_ = 0;
-
-  // ---- One-shot scan state ----
-  std::vector<internal::Pick> picks_;
-  storage::TrainingDataSource* scan_source_ = nullptr;
-  bool scanned_ = false;
-  CubeBuildTelemetry telemetry_;
 };
 
-/// TrainingDataSink adapter over an incremental BellwetherState: producers
+/// TrainingDataSink adapter over a BellwetherState: producers
 /// (e.g. streaming training-data generation) append region sets in the
 /// usual ascending order and the sink folds them into the state as delta
 /// batches of `sets_per_batch` regions. Finish() flushes the remainder and

@@ -14,11 +14,11 @@
 #include "regression/linear_model.h"
 #include "storage/training_data.h"
 
-/// Shared internals of the cube builders. The three one-shot builders
-/// (naive / single-scan / optimized) and the mutable BellwetherState all
-/// produce cubes through the same two phases exposed here — derive a
-/// CubeCell from a per-subset Pick, then assemble cells into a
-/// BellwetherCube with its telemetry and flight-recorder report — so their
+/// Shared internals of the cube builders. The three serial reference
+/// builders (naive / single-scan / optimized) and the mutable
+/// BellwetherState all produce cubes through the same two phases exposed
+/// here — derive a CubeCell from a per-subset Pick, then assemble cells into
+/// a BellwetherCube with its telemetry and flight-recorder report — so their
 /// outputs stay bit-identical by construction. Not part of the public API.
 namespace bellwether::core::internal {
 
@@ -65,11 +65,19 @@ std::vector<SubsetId> SignificantSubsets(const std::vector<int32_t>& sizes,
 
 bool ItemMasked(const std::vector<uint8_t>* item_mask, int32_t item);
 
+/// Per item, the significant subsets that contain it, as ascending indices
+/// into `significant`; masked items get an empty list. Folding each row into
+/// exactly these subsets is the per-region work of the single-scan builder
+/// and of BellwetherState::ApplyDelta.
+std::vector<std::vector<int32_t>> ContainingSignificantSubsets(
+    const ItemSubsetSpace& subsets, const std::vector<SubsetId>& significant,
+    const std::vector<uint8_t>* item_mask);
+
 /// Access to a region's raw training rows for the CV post-pass, abstracted
-/// over where the rows live (a TrainingDataSource for the one-shot builders,
-/// retained in-memory rows for BellwetherState). Contract: a region with no
-/// rows available returns OK *without* invoking the callback (the cell just
-/// goes without CV stats); any other error propagates.
+/// over where the rows live (a TrainingDataSource for the reference
+/// builders, retained in-memory rows for BellwetherState). Contract: a
+/// region with no rows available returns OK *without* invoking the callback
+/// (the cell just goes without CV stats); any other error propagates.
 using RegionRowsVisitor = std::function<Status(
     olap::RegionId,
     const std::function<Status(const storage::RegionTrainingSet&)>&)>;
@@ -98,7 +106,7 @@ Result<CubeCell> BuildCubeCell(SubsetId sid, int32_t subset_size,
 /// flight-recorder report named after `builder_name`. The report's logical
 /// sections depend only on config and cell contents, so equal cell vectors
 /// produce byte-identical LogicalJson regardless of how the cells were
-/// derived (one-shot scan vs. incremental delta maintenance).
+/// derived (a reference builder's scan vs. delta maintenance).
 Result<BellwetherCube> AssembleCube(
     std::string_view builder_name,
     std::shared_ptr<const ItemSubsetSpace> subsets,

@@ -21,6 +21,7 @@
 #include "regression/linear_model.h"
 #include "regression/suff_stats_io.h"
 #include "storage/training_data.h"
+#include "test_util.h"
 
 namespace bellwether::core {
 namespace {
@@ -50,7 +51,7 @@ datagen::SimulationDataset MakeSim(uint64_t seed) {
 }
 
 TEST(ModelIoCorruptionTest, VersionMismatchIsFailedPrecondition) {
-  const std::string path = ::testing::TempDir() + "/old_version.bwl";
+  const std::string path = UniqueTempPath("old_version.bwl");
   WriteAll(path, "bellwether-linear-v0\n42\n1 1.5\n");
   auto r = LoadLinearModel(path);
   ASSERT_FALSE(r.ok());
@@ -61,7 +62,7 @@ TEST(ModelIoCorruptionTest, VersionMismatchIsFailedPrecondition) {
 TEST(ModelIoCorruptionTest, WrongArtifactKindIsFailedPrecondition) {
   // A valid tree file handed to the cube loader: recognizably ours, but the
   // wrong kind — the caller picked the wrong loader, not a corrupt file.
-  const std::string path = ::testing::TempDir() + "/kind.bwc";
+  const std::string path = UniqueTempPath("kind.bwc");
   WriteAll(path, "bellwether-tree-v2\n0\n1\n");
   auto r = LoadBellwetherCube(path, nullptr);
   ASSERT_FALSE(r.ok());
@@ -70,7 +71,7 @@ TEST(ModelIoCorruptionTest, WrongArtifactKindIsFailedPrecondition) {
 }
 
 TEST(ModelIoCorruptionTest, GarbageMagicIsInvalidArgument) {
-  const std::string path = ::testing::TempDir() + "/garbage.bwl";
+  const std::string path = UniqueTempPath("garbage.bwl");
   WriteAll(path, "#!/bin/sh\necho not a model\n");
   auto r = LoadLinearModel(path);
   ASSERT_FALSE(r.ok());
@@ -80,7 +81,7 @@ TEST(ModelIoCorruptionTest, GarbageMagicIsInvalidArgument) {
 
 TEST(ModelIoCorruptionTest, ImplausibleVectorLengthIsRejected) {
   // A corrupt length field must not become a huge allocation.
-  const std::string path = ::testing::TempDir() + "/huge.bwl";
+  const std::string path = UniqueTempPath("huge.bwl");
   WriteAll(path, "bellwether-linear-v1\n42\n9999999999999 1.5\n");
   auto r = LoadLinearModel(path);
   ASSERT_FALSE(r.ok());
@@ -89,7 +90,7 @@ TEST(ModelIoCorruptionTest, ImplausibleVectorLengthIsRejected) {
 }
 
 TEST(ModelIoCorruptionTest, LinearModelWithInfAndNanRoundTrips) {
-  const std::string path = ::testing::TempDir() + "/inf.bwl";
+  const std::string path = UniqueTempPath("inf.bwl");
   regression::LinearModel model({kInf, -kInf, 1.0});
   ASSERT_TRUE(SaveLinearModel(model, 7, path).ok());
   auto back = LoadLinearModel(path);
@@ -120,7 +121,7 @@ TEST(ModelIoCorruptionTest, DegradedCubeCellRoundTrips) {
   cell.degradation = regression::FitDegradation::kMeanFallback;
   cell.fallback_pick = true;
 
-  const std::string path = ::testing::TempDir() + "/degraded.bwc";
+  const std::string path = UniqueTempPath("degraded.bwc");
   ASSERT_TRUE(SaveBellwetherCube(*cube, path).ok());
   auto back = LoadBellwetherCube(path, *subsets);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
@@ -144,7 +145,7 @@ TEST(ModelIoCorruptionTest, TruncatedCubeFailsCleanlyAtEveryBoundary) {
   config.compute_cv_stats = false;
   auto cube = BuildBellwetherCubeOptimized(&source, *subsets, config);
   ASSERT_TRUE(cube.ok());
-  const std::string path = ::testing::TempDir() + "/trunc.bwc";
+  const std::string path = UniqueTempPath("trunc.bwc");
   ASSERT_TRUE(SaveBellwetherCube(*cube, path).ok());
   const std::string content = ReadAll(path);
   ASSERT_GT(content.size(), 100u);
@@ -173,7 +174,7 @@ TEST(ModelIoCorruptionTest, TruncatedTreeFailsCleanly) {
   config.min_examples_per_model = 10;
   auto tree = BuildBellwetherTreeRainForest(&source, sim.items, config);
   ASSERT_TRUE(tree.ok());
-  const std::string path = ::testing::TempDir() + "/trunc.bwt";
+  const std::string path = UniqueTempPath("trunc.bwt");
   ASSERT_TRUE(SaveBellwetherTree(*tree, path).ok());
   const std::string content = ReadAll(path);
   // Section boundaries: after the magic (missing column count), after the
@@ -203,7 +204,7 @@ TEST(ModelIoCorruptionTest, ByteFlipsNeverCrashTheLoader) {
   config.min_examples_per_model = 10;
   auto tree = BuildBellwetherTreeRainForest(&source, sim.items, config);
   ASSERT_TRUE(tree.ok());
-  const std::string path = ::testing::TempDir() + "/flip.bwt";
+  const std::string path = UniqueTempPath("flip.bwt");
   ASSERT_TRUE(SaveBellwetherTree(*tree, path).ok());
   const std::string content = ReadAll(path);
   // Overwrite single bytes with a value no valid token contains; the loader
@@ -291,7 +292,7 @@ class StateFileTest : public ::testing::Test {
     ASSERT_TRUE(state.ok());
     state_ = std::move(*state);
     ASSERT_TRUE(state_->ApplyDelta(sim_.sets).ok());
-    path_ = ::testing::TempDir() + "/corrupt_state.bws";
+    path_ = UniqueTempPath("corrupt_state.bws");
     ASSERT_TRUE(state_->Save(path_).ok());
   }
   void TearDown() override { std::remove(path_.c_str()); }

@@ -1,9 +1,9 @@
 // The determinism contract of the parallel execution layer
 // (docs/PERFORMANCE.md): for every thread count — including
 // hardware_concurrency — the basic search, the RainForest tree, and the
-// single-scan cube produce artifacts bit-identical to the serial build;
-// the same holds with deterministic faults armed, and checkpoints written
-// by a parallel build are interchangeable with serial ones.
+// BellwetherState cube produce artifacts bit-identical to the serial build;
+// the same holds with deterministic faults armed, and state saves written
+// by a parallel build reopen at any other thread count.
 
 #include <gtest/gtest.h>
 
@@ -13,11 +13,13 @@
 
 #include "core/basic_search.h"
 #include "core/bellwether_cube.h"
+#include "core/bellwether_state.h"
 #include "core/bellwether_tree.h"
 #include "datagen/simulation.h"
 #include "robust/fault_injection.h"
 #include "storage/retrying_source.h"
 #include "storage/training_data.h"
+#include "test_util.h"
 
 namespace bellwether::core {
 namespace {
@@ -183,7 +185,7 @@ TEST(ParallelDeterminismTest, TreeBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// ---- Single-scan cube ----
+// ---- BellwetherState cube ----
 
 TEST(ParallelDeterminismTest, CubeBitIdenticalAcrossThreadCounts) {
   datagen::SimulationDataset sim = MakeSim(45);
@@ -202,11 +204,10 @@ TEST(ParallelDeterminismTest, CubeBitIdenticalAcrossThreadCounts) {
     SCOPED_TRACE("num_threads=" + std::to_string(threads));
     CubeBuildConfig par = config;
     par.exec.num_threads = threads;
-    storage::MemoryTrainingData src(sim.sets);
-    auto cube = BuildBellwetherCubeSingleScan(&src, *subsets, par);
+    auto cube = BuildCubeViaState(sim.sets, *subsets, par);
     ASSERT_TRUE(cube.ok()) << cube.status().ToString();
     ExpectCubesIdentical(*cube, *serial);
-    // Lemma 2 telemetry: exactly one scan, regardless of thread count.
+    // Lemma 2 telemetry: exactly one pass, regardless of thread count.
     EXPECT_EQ(cube->build_telemetry().data_passes, 1);
   }
 }
@@ -253,36 +254,51 @@ TEST(ParallelDeterminismTest, CubeCrashAndResumeAcrossThreadCounts) {
   auto ref = BuildBellwetherCubeSingleScan(&ref_src, *subsets, base);
   ASSERT_TRUE(ref.ok());
 
+  // Two delta batches: the first half of the region sets, then the rest.
+  const size_t half = sim.sets.size() / 2;
+  const std::vector<storage::RegionTrainingSet> first(
+      sim.sets.begin(), sim.sets.begin() + half);
+  const std::vector<storage::RegionTrainingSet> second(
+      sim.sets.begin() + half, sim.sets.end());
+
   for (int32_t crash_threads : {1, 4}) {
     for (int32_t resume_threads : {1, 4}) {
       SCOPED_TRACE("crash_threads=" + std::to_string(crash_threads) +
                    " resume_threads=" + std::to_string(resume_threads));
       CubeBuildConfig ckpt = base;
-      ckpt.checkpoint_path = ::testing::TempDir() + "/par_cube_resume_" +
-                             std::to_string(crash_threads) + "_" +
-                             std::to_string(resume_threads) + ".bwk";
-      ckpt.checkpoint_every = 1;
+      ckpt.checkpoint_path = UniqueTempPath(
+          "par_cube_resume_" + std::to_string(crash_threads) + "_" +
+          std::to_string(resume_threads) + ".bws");
       {
-        // Kill the build right after the first merged region's checkpoint.
-        // Crash arrival counts follow the merge order, so the checkpoint on
-        // disk is the same whatever thread count wrote it.
-        ScopedFaults faults("cube.scan:crash@1");
+        // Save after the first batch, then kill the second batch right
+        // after its first region's commit. Crash arrivals follow the
+        // in-order commit, so the save on disk is the same whatever thread
+        // count wrote it.
         CubeBuildConfig crash_config = ckpt;
         crash_config.exec.num_threads = crash_threads;
-        storage::MemoryTrainingData src(sim.sets);
-        auto crashed =
-            BuildBellwetherCubeSingleScan(&src, *subsets, crash_config);
+        BellwetherState::Options options;
+        options.config = crash_config;
+        auto state = BellwetherState::Init(*subsets, std::move(options));
+        ASSERT_TRUE(state.ok()) << state.status().ToString();
+        std::vector<storage::RegionTrainingSet> batch = first;
+        ASSERT_TRUE((*state)->ApplyDelta(std::move(batch)).ok());
+        ScopedFaults faults("state.delta:crash@1");
+        batch = second;
+        const Status crashed = (*state)->ApplyDelta(std::move(batch));
         ASSERT_FALSE(crashed.ok());
-        EXPECT_EQ(crashed.status().code(), StatusCode::kIoError);
+        EXPECT_EQ(crashed.code(), StatusCode::kIoError);
       }
-      CubeBuildConfig resume_config = ckpt;
-      resume_config.exec.num_threads = resume_threads;
-      storage::MemoryTrainingData src(sim.sets);
-      auto resumed =
-          BuildBellwetherCubeSingleScan(&src, *subsets, resume_config);
+      auto resumed = BellwetherState::Open(ckpt.checkpoint_path, *subsets);
       ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-      EXPECT_EQ(resumed->build_telemetry().resumed_regions, 1);
-      ExpectCubesIdentical(*resumed, *ref);
+      EXPECT_EQ((*resumed)->delta_batches(), 1);
+      exec::BellwetherExecOptions exec;
+      exec.num_threads = resume_threads;
+      (*resumed)->set_exec(exec);
+      std::vector<storage::RegionTrainingSet> batch = second;
+      ASSERT_TRUE((*resumed)->ApplyDelta(std::move(batch)).ok());
+      auto cube = (*resumed)->Finalize();
+      ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+      ExpectCubesIdentical(*cube, *ref);
       std::remove(ckpt.checkpoint_path.c_str());
     }
   }

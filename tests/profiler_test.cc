@@ -21,6 +21,7 @@
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "storage/training_data.h"
+#include "test_util.h"
 
 namespace bellwether::obs {
 namespace {
@@ -336,9 +337,7 @@ TEST(ProfilerDeterminismTest, BuildersBitIdenticalAcrossThreadsWhileArmed) {
     cube_cfg.min_subset_size = 20;
     cube_cfg.min_examples_per_model = 8;
     cube_cfg.exec.num_threads = threads;
-    storage::MemoryTrainingData cube_src(sim.sets);
-    auto cube =
-        core::BuildBellwetherCubeSingleScan(&cube_src, *subsets, cube_cfg);
+    auto cube = BuildCubeViaState(sim.sets, *subsets, cube_cfg);
     ASSERT_TRUE(cube.ok()) << cube.status().ToString();
 
     if (threads == 1) {

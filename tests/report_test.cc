@@ -16,6 +16,7 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "storage/training_data.h"
+#include "test_util.h"
 
 namespace bellwether::obs {
 namespace {
@@ -488,9 +489,7 @@ TEST(BuilderReportTest, LogicalJsonByteIdenticalAcrossThreadCounts) {
     cube_cfg.min_subset_size = 20;
     cube_cfg.min_examples_per_model = 8;
     cube_cfg.exec.num_threads = threads;
-    storage::MemoryTrainingData cube_src(sim.sets);
-    auto cube =
-        core::BuildBellwetherCubeSingleScan(&cube_src, *subsets, cube_cfg);
+    auto cube = BuildCubeViaState(sim.sets, *subsets, cube_cfg);
     ASSERT_TRUE(cube.ok());
 
     if (threads == 1) {

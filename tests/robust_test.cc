@@ -1,12 +1,10 @@
 // Unit tests of the robustness toolkit: the deterministic fault-injection
-// registry, row quarantine accounting, and the cube checkpoint format.
+// registry, row quarantine accounting, and the build fingerprint.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <limits>
+#include <string>
+#include <vector>
 
 #include "robust/checkpoint.h"
 #include "robust/fault_injection.h"
@@ -14,8 +12,6 @@
 
 namespace bellwether::robust {
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 TEST(FaultRegistryTest, DisarmedNeverFires) {
   FaultRegistry reg;
@@ -79,12 +75,12 @@ TEST(FaultRegistryTest, ProbabilisticTriggerIsDeterministicPerSeed) {
 
 TEST(FaultRegistryTest, MultiEntrySpecAndArmedPoints) {
   FaultRegistry reg;
-  ASSERT_TRUE(reg.Arm("storage.scan:io@2;cube.scan:crash@1").ok());
+  ASSERT_TRUE(reg.Arm("storage.scan:io@2;state.delta:crash@1").ok());
   const auto points = reg.ArmedPoints();
   ASSERT_EQ(points.size(), 2u);
   EXPECT_TRUE(reg.ShouldFire("storage.scan", FaultKind::kIoError));
-  EXPECT_TRUE(reg.ShouldFire("cube.scan", FaultKind::kCrash));
-  EXPECT_FALSE(reg.ShouldFire("cube.scan", FaultKind::kCrash));
+  EXPECT_TRUE(reg.ShouldFire("state.delta", FaultKind::kCrash));
+  EXPECT_FALSE(reg.ShouldFire("state.delta", FaultKind::kCrash));
 }
 
 TEST(FaultRegistryTest, MalformedSpecsAreRejectedAndDisarm) {
@@ -149,94 +145,6 @@ TEST(FingerprintTest, OrderAndValueSensitive) {
   EXPECT_EQ(a.value(), b.value());
   EXPECT_NE(a.value(), c.value());
   EXPECT_NE(a.value(), d.value());
-}
-
-regression::RegressionSuffStats MakeStats() {
-  regression::RegressionSuffStats s(3);
-  const double rows[4][3] = {{1, 2, 3}, {1, 0, -1}, {1, 5, 2}, {1, 1, 1}};
-  const double ys[4] = {2.0, -1.5, 4.25, 0.5};
-  for (int i = 0; i < 4; ++i) s.Add(rows[i], ys[i], 1.0 + 0.25 * i);
-  return s;
-}
-
-TEST(CheckpointTest, RoundTripIsExact) {
-  CubeBuildCheckpoint ckpt;
-  ckpt.fingerprint = 0xDEADBEEFCAFEF00DULL;
-  ckpt.regions_processed = 7;
-  PickCheckpoint pick;
-  pick.error = 1.0 / 3.0;  // not representable in decimal; %.17g must hold it
-  pick.region = 12;
-  pick.stats = MakeStats();
-  pick.fallback_region = 3;
-  pick.fallback_examples = 4;
-  pick.fallback_stats = MakeStats();
-  ckpt.picks.push_back(pick);
-  PickCheckpoint untouched;  // defaults, with an infinite error
-  untouched.error = kInf;
-  ckpt.picks.push_back(untouched);
-
-  const std::string path = ::testing::TempDir() + "/ckpt.bwk";
-  ASSERT_TRUE(SaveCubeCheckpoint(ckpt, path).ok());
-  auto back = LoadCubeCheckpoint(path);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->fingerprint, ckpt.fingerprint);
-  EXPECT_EQ(back->regions_processed, 7);
-  ASSERT_EQ(back->picks.size(), 2u);
-  EXPECT_EQ(back->picks[0].error, pick.error);  // bit-exact
-  EXPECT_EQ(back->picks[0].region, 12);
-  EXPECT_EQ(back->picks[0].fallback_region, 3);
-  EXPECT_EQ(back->picks[0].fallback_examples, 4);
-  EXPECT_EQ(back->picks[0].stats.num_examples(), 4);
-  EXPECT_EQ(back->picks[0].stats.xtwy()[2], pick.stats.xtwy()[2]);
-  EXPECT_EQ(back->picks[0].stats.xtwx()(1, 2), pick.stats.xtwx()(1, 2));
-  EXPECT_EQ(back->picks[1].error, kInf);  // inf survives the text format
-  EXPECT_EQ(back->picks[1].region, -1);
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointTest, TruncatedFileIsIoError) {
-  CubeBuildCheckpoint ckpt;
-  ckpt.fingerprint = 5;
-  ckpt.regions_processed = 1;
-  PickCheckpoint pick;
-  pick.stats = MakeStats();
-  pick.fallback_stats = MakeStats();
-  ckpt.picks.push_back(pick);
-  const std::string path = ::testing::TempDir() + "/ckpt_trunc.bwk";
-  ASSERT_TRUE(SaveCubeCheckpoint(ckpt, path).ok());
-  std::ifstream in(path);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  in.close();
-  // Cut at several depths: after the magic, mid-header, mid-pick.
-  for (size_t cut : {size_t{30}, size_t{60}, size_t{100},
-                     content.size() - 4}) {
-    ASSERT_LT(cut, content.size());
-    std::ofstream out(path);
-    out << content.substr(0, cut);
-    out.close();
-    auto r = LoadCubeCheckpoint(path);
-    ASSERT_FALSE(r.ok()) << "cut at " << cut;
-    EXPECT_EQ(r.status().code(), StatusCode::kIoError) << "cut at " << cut;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointTest, WrongMagicIsFailedPrecondition) {
-  const std::string path = ::testing::TempDir() + "/ckpt_magic.bwk";
-  std::ofstream out(path);
-  out << "bellwether-cube-checkpoint-v999\nfingerprint 1\n";
-  out.close();
-  auto r = LoadCubeCheckpoint(path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointTest, MissingFileIsIoError) {
-  auto r = LoadCubeCheckpoint(::testing::TempDir() + "/does_not_exist.bwk");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include "olap/region.h"
 #include "robust/fault_injection.h"
 #include "storage/training_data.h"
+#include "test_util.h"
 
 namespace bellwether::core {
 namespace {
@@ -137,8 +138,8 @@ std::string ReadAll(const std::string& path) {
 void ExpectSameArtifactBytes(const BellwetherCube& got,
                              const BellwetherCube& want,
                              const std::string& tag) {
-  const std::string got_path = ::testing::TempDir() + "/" + tag + "_got.bwc";
-  const std::string want_path = ::testing::TempDir() + "/" + tag + "_want.bwc";
+  const std::string got_path = UniqueTempPath(tag + "_got.bwc");
+  const std::string want_path = UniqueTempPath(tag + "_want.bwc");
   ASSERT_TRUE(SaveBellwetherCube(got, got_path).ok());
   ASSERT_TRUE(SaveBellwetherCube(want, want_path).ok());
   EXPECT_EQ(ReadAll(got_path), ReadAll(want_path));
@@ -360,7 +361,7 @@ TEST(StateDeltaTest, CrashMidBatchReopensFromSaveAndConverges) {
   auto subsets = ItemSubsetSpace::Create(sim.items, sim.item_hierarchies);
   ASSERT_TRUE(subsets.ok());
   CubeBuildConfig config = MakeConfig();
-  config.checkpoint_path = ::testing::TempDir() + "/state_crash.bws";
+  config.checkpoint_path = UniqueTempPath("state_crash.bws");
 
   Rng rng(510);
   const auto batches = SplitIntoBatches(sim.sets, 2, &rng);
@@ -417,7 +418,7 @@ TEST(StateDeltaTest, SaveOpenRoundTripPreservesStateAndArtifacts) {
   auto subsets = ItemSubsetSpace::Create(sim.items, sim.item_hierarchies);
   ASSERT_TRUE(subsets.ok());
   const CubeBuildConfig config = MakeConfig();
-  const std::string path = ::testing::TempDir() + "/state_roundtrip.bws";
+  const std::string path = UniqueTempPath("state_roundtrip.bws");
 
   auto state = NewState(*subsets, config);
   ASSERT_TRUE(state.ok());
@@ -442,7 +443,7 @@ TEST(StateDeltaTest, OpenRejectsForeignSubsetSpace) {
   datagen::SimulationDataset sim = MakeSim(71);
   auto subsets = ItemSubsetSpace::Create(sim.items, sim.item_hierarchies);
   ASSERT_TRUE(subsets.ok());
-  const std::string path = ::testing::TempDir() + "/state_foreign.bws";
+  const std::string path = UniqueTempPath("state_foreign.bws");
   auto state = NewState(*subsets, MakeConfig());
   ASSERT_TRUE(state.ok());
   ASSERT_TRUE((*state)->ApplyDelta(sim.sets).ok());

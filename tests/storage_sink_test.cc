@@ -3,7 +3,7 @@
 // BudgetedSink's mid-stream migration to disk, the peak-resident-bytes
 // bound, and the acceptance criterion that a budget smaller than the data
 // produces bit-identical search/tree/cube results at any thread count —
-// including under injected storage faults and checkpoint/resume.
+// including under injected storage faults and kill/reopen of the state.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 
 #include "core/basic_search.h"
 #include "core/bellwether_cube.h"
+#include "core/bellwether_state.h"
 #include "core/bellwether_tree.h"
 #include "core/training_data_gen.h"
 #include "datagen/mail_order.h"
@@ -22,6 +23,7 @@
 #include "storage/retrying_source.h"
 #include "storage/training_data.h"
 #include "storage/training_data_sink.h"
+#include "test_util.h"
 
 namespace bellwether::storage {
 namespace {
@@ -76,7 +78,7 @@ TEST(SinkOrderingTest, DuplicateRegionIsAlsoAViolation) {
 }
 
 TEST(SinkOrderingTest, SpillSinkRejectsOutOfOrderAtFinish) {
-  const std::string path = ::testing::TempDir() + "/sink_order.spill";
+  const std::string path = UniqueTempPath("sink_order.spill");
   auto sink = SpillSink::Create(path);
   ASSERT_TRUE(sink.ok());
   ASSERT_TRUE((*sink)->Append(MakeSet(7, 2)).ok());
@@ -88,7 +90,7 @@ TEST(SinkOrderingTest, SpillSinkRejectsOutOfOrderAtFinish) {
 }
 
 TEST(SinkOrderingTest, BudgetedSinkRejectsOutOfOrderAtFinish) {
-  const std::string path = ::testing::TempDir() + "/sink_order_budget.spill";
+  const std::string path = UniqueTempPath("sink_order_budget.spill");
   BudgetedSink sink(/*memory_budget_bytes=*/64, path);
   ASSERT_TRUE(sink.Append(MakeSet(9, 4)).ok());
   ASSERT_TRUE(sink.Append(MakeSet(1, 4)).ok());
@@ -119,7 +121,7 @@ TEST(SinkRoundTripTest, WeightedSetsSurviveEverySinkKind) {
   auto mem_src = mem.Finish();
   ASSERT_TRUE(mem_src.ok());
 
-  const std::string spath = ::testing::TempDir() + "/sink_weighted.spill";
+  const std::string spath = UniqueTempPath("sink_weighted.spill");
   auto spill = SpillSink::Create(spath);
   ASSERT_TRUE(spill.ok());
   for (const auto& s : ref) {
@@ -128,7 +130,7 @@ TEST(SinkRoundTripTest, WeightedSetsSurviveEverySinkKind) {
   auto spill_src = (*spill)->Finish();
   ASSERT_TRUE(spill_src.ok());
 
-  const std::string bpath = ::testing::TempDir() + "/sink_weighted_b.spill";
+  const std::string bpath = UniqueTempPath("sink_weighted_b.spill");
   BudgetedSink budgeted(/*memory_budget_bytes=*/1, bpath);
   for (const auto& s : ref) {
     ASSERT_TRUE(budgeted.Append(RegionTrainingSet(s)).ok());
@@ -155,7 +157,7 @@ TEST(SinkRoundTripTest, ZeroExampleRegionsSurviveEverySinkKind) {
   ref.push_back(MakeSet(2, 0));
   ref.push_back(MakeSet(3, 4));
 
-  const std::string spath = ::testing::TempDir() + "/sink_empty.spill";
+  const std::string spath = UniqueTempPath("sink_empty.spill");
   auto spill = SpillSink::Create(spath);
   ASSERT_TRUE(spill.ok());
   for (const auto& s : ref) {
@@ -169,7 +171,7 @@ TEST(SinkRoundTripTest, ZeroExampleRegionsSurviveEverySinkKind) {
   EXPECT_EQ(empty->region, 2);
   EXPECT_EQ(empty->num_examples(), 0u);
 
-  const std::string bpath = ::testing::TempDir() + "/sink_empty_b.spill";
+  const std::string bpath = UniqueTempPath("sink_empty_b.spill");
   BudgetedSink budgeted(/*memory_budget_bytes=*/1, bpath);
   for (const auto& s : ref) {
     ASSERT_TRUE(budgeted.Append(RegionTrainingSet(s)).ok());
@@ -184,7 +186,7 @@ TEST(SinkRoundTripTest, ZeroExampleRegionsSurviveEverySinkKind) {
 // ---- BudgetedSink migration mechanics ----
 
 TEST(BudgetedSinkTest, StaysInMemoryUnderBudget) {
-  const std::string path = ::testing::TempDir() + "/sink_nomigrate.spill";
+  const std::string path = UniqueTempPath("sink_nomigrate.spill");
   BudgetedSink sink(/*memory_budget_bytes=*/1 << 20, path);
   for (olap::RegionId r : {1, 2, 3}) {
     ASSERT_TRUE(sink.Append(MakeSet(r, 5)).ok());
@@ -206,7 +208,7 @@ TEST(BudgetedSinkTest, MigratesMidStreamAndDropsResidency) {
   for (olap::RegionId r = 0; r < 8; ++r) ref.push_back(MakeSet(r, 6));
   const size_t two_sets = ref[0].ByteSize() + ref[1].ByteSize();
 
-  const std::string path = ::testing::TempDir() + "/sink_migrate.spill";
+  const std::string path = UniqueTempPath("sink_migrate.spill");
   BudgetedSink sink(/*memory_budget_bytes=*/two_sets, path);
   size_t appended = 0;
   for (const auto& s : ref) {
@@ -245,7 +247,7 @@ TEST(BudgetedSinkTest, PeakResidentGaugeBoundedByBudgetPlusLargestSet) {
     largest = std::max(largest, ref.back().ByteSize());
   }
   const size_t budget = ref[0].ByteSize() * 2;
-  const std::string path = ::testing::TempDir() + "/sink_peak.spill";
+  const std::string path = UniqueTempPath("sink_peak.spill");
   BudgetedSink sink(budget, path);
   for (auto& s : ref) ASSERT_TRUE(sink.Append(std::move(s)).ok());
   ASSERT_TRUE(sink.spilled());
@@ -317,8 +319,8 @@ TEST_F(BudgetedPipelineTest, BudgetedRunBitIdenticalAtAnyThreadCount) {
 
   for (int32_t num_threads : {1, 2, 4}) {
     SCOPED_TRACE("num_threads=" + std::to_string(num_threads));
-    const std::string path = ::testing::TempDir() + "/budget_pipeline_" +
-                             std::to_string(num_threads) + ".spill";
+    const std::string path = UniqueTempPath(
+        "budget_pipeline_" + std::to_string(num_threads) + ".spill");
     // A budget of one set's bytes forces migration almost immediately.
     BudgetedSink sink(/*memory_budget_bytes=*/4096, path);
     auto profile =
@@ -388,12 +390,12 @@ class ScopedFaults {
 TEST_F(BudgetedPipelineTest, SpilledSourceSurvivesScanFaultsAndResumes) {
   // Generate through a BudgetedSink that migrates mid-stream, then drive
   // the spilled source through (1) transient storage.scan faults behind the
-  // retrying wrapper and (2) a killed, checkpointed cube build — both must
-  // fingerprint/produce results identical to the clean in-memory run.
+  // retrying wrapper and (2) a killed, checkpointed BellwetherState cube
+  // build — both must produce results identical to the clean in-memory run.
   auto ref = core::GenerateTrainingDataInMemory(MakeSpecFor(1));
   ASSERT_TRUE(ref.ok());
 
-  const std::string path = ::testing::TempDir() + "/budget_faulted.spill";
+  const std::string path = UniqueTempPath("budget_faulted.spill");
   BudgetedSink sink(/*memory_budget_bytes=*/4096, path);
   auto profile = core::GenerateTrainingData(MakeSpecFor(1), &sink);
   ASSERT_TRUE(profile.ok());
@@ -429,22 +431,40 @@ TEST_F(BudgetedPipelineTest, SpilledSourceSurvivesScanFaultsAndResumes) {
       core::BuildBellwetherCubeSingleScan(ref->source.get(), *subsets, base);
   ASSERT_TRUE(ref_cube.ok());
 
+  // Scan the spilled source into a checkpointed state in two batches, kill
+  // the second batch after its first region's commit, reopen the save of
+  // the first batch, and re-apply the rest.
+  std::vector<RegionTrainingSet> sets;
+  ASSERT_TRUE((*source)
+                  ->Scan([&](const RegionTrainingSet& set) -> Status {
+                    sets.push_back(set);
+                    return Status::OK();
+                  })
+                  .ok());
+  ASSERT_GE(sets.size(), 2u);
+  const auto mid = sets.begin() + static_cast<std::ptrdiff_t>(sets.size() / 2);
+  const std::vector<RegionTrainingSet> head(sets.begin(), mid);
+  const std::vector<RegionTrainingSet> tail(mid, sets.end());
+
   core::CubeBuildConfig ckpt = base;
-  ckpt.checkpoint_path = ::testing::TempDir() + "/budget_faulted.bwk";
-  ckpt.checkpoint_every = 1;
+  ckpt.checkpoint_path = UniqueTempPath("budget_faulted.bws");
   {
-    ScopedFaults faults("cube.scan:crash@1");
-    auto crashed =
-        core::BuildBellwetherCubeSingleScan(source->get(), *subsets, ckpt);
-    ASSERT_FALSE(crashed.ok());
+    core::BellwetherState::Options options;
+    options.config = ckpt;
+    auto state = core::BellwetherState::Init(*subsets, std::move(options));
+    ASSERT_TRUE(state.ok());
+    ASSERT_TRUE((*state)->ApplyDelta(head).ok());
+    ScopedFaults faults("state.delta:crash@1");
+    const Status st = (*state)->ApplyDelta(tail);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::kIoError);
   }
-  // The checkpoint fingerprint computed over the spilled source matches the
-  // resumed build's, so the resume picks up instead of restarting — and the
-  // final cube is identical to the in-memory reference.
-  auto resumed =
-      core::BuildBellwetherCubeSingleScan(source->get(), *subsets, ckpt);
+  auto reopened = core::BellwetherState::Open(ckpt.checkpoint_path, *subsets);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->delta_batches(), 1);
+  ASSERT_TRUE((*reopened)->ApplyDelta(tail).ok());
+  auto resumed = (*reopened)->Finalize();
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_EQ(resumed->build_telemetry().resumed_regions, 1);
   ASSERT_EQ(resumed->cells().size(), ref_cube->cells().size());
   for (size_t i = 0; i < ref_cube->cells().size(); ++i) {
     EXPECT_EQ(resumed->cells()[i].region, ref_cube->cells()[i].region);
@@ -466,7 +486,7 @@ TEST(BudgetedSinkTest, ArenaBalancesAfterInjectedSpillFault) {
   auto* releases = obs::DefaultMetrics().GetCounter(obs::kMArenaReleases);
   const int64_t releases_before = releases->Value();
 
-  const std::string path = ::testing::TempDir() + "/sink_fault.spill";
+  const std::string path = UniqueTempPath("sink_fault.spill");
   BudgetedSink sink(budget, path);
   ASSERT_TRUE(sink.Append(RegionTrainingSet(ref[0])).ok());
   ASSERT_TRUE(sink.Append(RegionTrainingSet(ref[1])).ok());
@@ -496,7 +516,7 @@ TEST(BudgetedSinkTest, ArenaBalancesWhenSpillFileCannotBeCreated) {
   // A spill path inside a directory that does not exist: migration fails at
   // SpillFileWriter::Create, before any buffered set is written.
   BudgetedSink sink(/*memory_budget_bytes=*/ref[0].ByteSize(),
-                    ::testing::TempDir() + "/no_such_dir/sink.spill");
+                    UniqueTempPath("no_such_dir/sink.spill"));
   ASSERT_TRUE(sink.Append(RegionTrainingSet(ref[0])).ok());
   const Status st = sink.Append(RegionTrainingSet(ref[1]));
   ASSERT_FALSE(st.ok());
