@@ -163,12 +163,6 @@ class BenchRunner {
 
   obs::RunReport& report() { return report_; }
 
-  /// Overrides the default report path (`BENCH_<name>.json`). Drivers with a
-  /// legacy --out flag route it here; --report-out still wins.
-  void set_default_report_path(std::string path) {
-    default_report_path_ = std::move(path);
-  }
-
   /// Runs `fn` under a trace span and records its wall time as a report
   /// phase. Same-name calls accumulate. Returns the elapsed seconds.
   double TimePhase(const char* phase, const std::function<void()>& fn) {
@@ -211,11 +205,8 @@ class BenchRunner {
       }
     }
     if (!FlagBool(argc_, argv_, "no-report")) {
-      const std::string path =
-          FlagString(argc_, argv_, "report-out",
-                     default_report_path_.empty()
-                         ? "BENCH_" + report_.name() + ".json"
-                         : default_report_path_);
+      const std::string path = FlagString(argc_, argv_, "report-out",
+                                          "BENCH_" + report_.name() + ".json");
       const Status st = obs::WriteTextFile(path, report_.ToJson() + "\n");
       if (st.ok()) {
         std::printf("\nrun report written to %s\n", path.c_str());
@@ -233,7 +224,6 @@ class BenchRunner {
   int argc_;
   char** argv_;
   obs::RunReport report_;
-  std::string default_report_path_;
   std::string profile_out_;
 };
 

@@ -4,10 +4,10 @@
 // BudgetedSink with a deliberately tiny memory budget so the sets migrate
 // to disk mid-stream — then asserts the budgeted run is bit-identical in
 // every artifact the determinism tests compare (training sets, profile,
-// basic-search result). Results are written as JSON for the CI artifact:
+// basic-search result). The run report is written as JSON for the CI
+// artifact (BENCH_streaming_datagen.json unless --report-out=<path>):
 //
-//   ./build/bench/streaming_datagen --budget-bytes=4096 \
-//       --out=BENCH_streaming_datagen.json
+//   ./build/bench/streaming_datagen --budget-bytes=4096
 
 #include <cstdio>
 #include <memory>
@@ -51,8 +51,6 @@ int main(int argc, char** argv) {
   const double scale = FlagDouble(argc, argv, "scale", 1.0);
   const auto budget_bytes = static_cast<size_t>(
       FlagDouble(argc, argv, "budget-bytes", 4096.0));
-  runner.set_default_report_path(
-      FlagString(argc, argv, "out", "BENCH_streaming_datagen.json"));
   const std::string spill_path =
       FlagString(argc, argv, "spill", "/tmp/bw_streaming_datagen.spill");
   runner.report().SetConfig("scale", scale);

@@ -18,7 +18,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-using olap::HierarchicalDimension;
 using olap::NodeId;
 using regression::RegressionSuffStats;
 using storage::RegionTrainingSet;
@@ -43,37 +42,6 @@ const CubeMetrics& Metrics() {
   return m;
 }
 
-// In-place lattice rollup of per-subset sufficient statistics: child node
-// merges into parent, one hierarchy at a time (the data-cube computation of
-// Observation 1 / Theorem 1).
-void RollupSubsetStats(const olap::RegionSpace& space,
-                       std::vector<RegressionSuffStats>* stats) {
-  const size_t nd = space.num_dims();
-  std::vector<int32_t> cards(nd);
-  std::vector<int64_t> strides(nd, 1);
-  for (size_t d = 0; d < nd; ++d) {
-    cards[d] = olap::DimensionCardinality(space.dim(d));
-  }
-  for (size_t d = nd - 1; d-- > 0;) strides[d] = strides[d + 1] * cards[d + 1];
-  const int64_t total = space.NumRegions();
-  for (size_t d = 0; d < nd; ++d) {
-    const auto& h = std::get<HierarchicalDimension>(space.dim(d));
-    const int64_t stride = strides[d];
-    const int64_t block = stride * cards[d];
-    for (NodeId n : h.NodesBottomUp()) {
-      if (n == h.root()) continue;
-      const NodeId parent = h.parent(n);
-      for (int64_t hi = 0; hi < total; hi += block) {
-        for (int64_t lo = 0; lo < stride; ++lo) {
-          RegressionSuffStats& src = (*stats)[hi + n * stride + lo];
-          if (src.empty()) continue;
-          (*stats)[hi + parent * stride + lo].Merge(src);
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 
 namespace internal {
@@ -82,10 +50,7 @@ std::vector<int32_t> SubsetSizes(const ItemSubsetSpace& subsets,
                                  const std::vector<uint8_t>* item_mask) {
   std::vector<int32_t> sizes(subsets.NumSubsets(), 0);
   for (int32_t i = 0; i < subsets.num_items(); ++i) {
-    if (item_mask != nullptr && (static_cast<size_t>(i) >= item_mask->size() ||
-                                 (*item_mask)[i] == 0)) {
-      continue;
-    }
+    if (ItemMasked(item_mask, i)) continue;
     subsets.ForEachContainingSubset(i, [&](SubsetId s) { ++sizes[s]; });
   }
   return sizes;
@@ -100,12 +65,6 @@ std::vector<SubsetId> SignificantSubsets(const std::vector<int32_t>& sizes,
     }
   }
   return out;
-}
-
-bool ItemMasked(const std::vector<uint8_t>* item_mask, int32_t item) {
-  return item_mask != nullptr &&
-         (static_cast<size_t>(item) >= item_mask->size() ||
-          (*item_mask)[item] == 0);
 }
 
 std::vector<std::vector<int32_t>> ContainingSignificantSubsets(
@@ -449,7 +408,7 @@ Result<BellwetherCube> BuildBellwetherCubeNaive(
     const SubsetId sid = significant[k];
     ++telemetry.data_passes;
     for (int32_t i = 0; i < subsets->num_items(); ++i) {
-      member[i] = !internal::ItemMasked(item_mask, i) &&
+      member[i] = !ItemMasked(item_mask, i) &&
                   subsets->SubsetContainsItem(sid, i);
     }
     // One basic bellwether search for this subset: read every region.
@@ -544,7 +503,7 @@ Result<BellwetherCube> BuildBellwetherCubeOptimized(
     // Theorem 1: accumulate g(.) at the base subsets only...
     for (size_t row = 0; row < set.num_examples(); ++row) {
       const int32_t item = set.items[row];
-      if (internal::ItemMasked(item_mask, item)) continue;
+      if (ItemMasked(item_mask, item)) continue;
       RegressionSuffStats& s = lattice[base_of[item]];
       if (s.num_features() == 0) {
         s = RegressionSuffStats(set.num_features);
@@ -552,7 +511,7 @@ Result<BellwetherCube> BuildBellwetherCubeOptimized(
       s.Add(set.row(row), set.targets[row], set.weight(row));
     }
     // ...then combine with q(.) (element-wise sums) up the lattice.
-    RollupSubsetStats(subsets->space(), &lattice);
+    internal::RollupSubsetStats(subsets->space(), &lattice);
     for (size_t k = 0; k < significant.size(); ++k) {
       picks[k].Offer(TrainingErrorOfStats(lattice[significant[k]],
                                           config.min_examples_per_model),

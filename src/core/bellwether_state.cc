@@ -212,13 +212,15 @@ Status BellwetherState::ApplyDelta(std::vector<RegionTrainingSet> batch) {
     std::vector<double> errors;
   };
   const int32_t num_threads = exec::ResolveNumThreads(config.exec.num_threads);
-  std::unique_ptr<exec::ThreadPool> pool;
-  if (num_threads > 1) pool = std::make_unique<exec::ThreadPool>(num_threads);
+  if (num_threads > 1 && pool_ == nullptr) {
+    pool_ = std::make_unique<exec::ThreadPool>(num_threads);
+  }
+  exec::ThreadPool* pool = pool_.get();
   int64_t rows_committed = 0;
   Status status;
   {
     exec::MergeInSubmissionOrder<RegionDelta> reducer(
-        pool.get(), /*max_outstanding=*/2 * static_cast<size_t>(num_threads),
+        pool, /*max_outstanding=*/2 * static_cast<size_t>(num_threads),
         "state.delta_merge", [&](size_t, RegionDelta d) -> Status {
           RegionSlot& slot = *d.slot;
           for (size_t t = 0; t < d.touched.size(); ++t) {
@@ -289,7 +291,11 @@ Status BellwetherState::ApplyDelta(std::vector<RegionTrainingSet> batch) {
     }
     if (status.ok()) status = reducer.Finish();
   }
-  BW_RETURN_IF_ERROR(status);
+  if (!status.ok()) {
+    // Queued tasks read this state; drain them before returning.
+    if (pool != nullptr) pool->Wait();
+    return status;
+  }
   ++delta_batches_;
   delta_seconds_ += delta_watch.ElapsedSeconds();
   Metrics().delta_batches->Increment(1);

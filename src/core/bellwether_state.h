@@ -12,6 +12,7 @@
 #include "core/basic_search.h"
 #include "core/bellwether_cube.h"
 #include "core/cube_build_internal.h"
+#include "exec/thread_pool.h"
 #include "olap/dirty.h"
 #include "storage/training_data.h"
 #include "storage/training_data_sink.h"
@@ -72,7 +73,8 @@ class BellwetherState {
   /// guaranteed ascending by item). Cells whose statistics changed are
   /// marked dirty. Per-region work runs on a pool and is merged in
   /// submission order, so the resulting state is bit-identical for any
-  /// thread count. When config.checkpoint_path is set, the state is saved
+  /// thread count. The pool is created by the first parallel call and kept
+  /// until set_exec. When config.checkpoint_path is set, the state is saved
   /// after each successful batch (batch-boundary durability).
   Status ApplyDelta(std::vector<storage::RegionTrainingSet> batch);
 
@@ -122,8 +124,11 @@ class BellwetherState {
   void set_checkpoint_path(std::string path) {
     options_.config.checkpoint_path = std::move(path);
   }
+  /// Also releases the ApplyDelta pool; the next parallel call sizes a
+  /// new one.
   void set_exec(const exec::BellwetherExecOptions& exec) {
     options_.config.exec = exec;
+    pool_.reset();
   }
 
  private:
@@ -165,6 +170,11 @@ class BellwetherState {
   int64_t delta_batches_ = 0;
   double delta_seconds_ = 0.0;
   uint64_t search_options_key_ = 0;
+
+  // ---- Execution ----
+  // Worker pool of parallel ApplyDelta calls, idle between calls; null
+  // until the first one and after set_exec.
+  std::unique_ptr<exec::ThreadPool> pool_;
 };
 
 /// TrainingDataSink adapter over a BellwetherState: producers

@@ -24,13 +24,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 using regression::RegressionSuffStats;
 using storage::RegionTrainingSet;
 
-// Error(.) both builders optimize: TrainingErrorOfStats from eval_util,
-// deterministic so that Lemma 1 holds exactly (cross-validated errors would
-// depend on fold RNG consumption order).
-double ErrorOfStats(const RegressionSuffStats& stats, int32_t min_examples) {
-  return TrainingErrorOfStats(stats, min_examples);
-}
-
 // Best (minimum-error) region for an item subset, tracked across a scan.
 struct BellwetherPick {
   double error = kInf;
@@ -130,8 +123,7 @@ struct PendingNode {
 
 // Shared post-scan logic: finalize a node's payload and decide the split.
 // Returns the chosen candidate index or -1 (leaf).
-int32_t FinalizeNode(const ItemSplitFeatures& feats,
-                     const TreeBuildConfig& config, const PendingNode& work,
+int32_t FinalizeNode(const ItemSplitFeatures& feats, const PendingNode& work,
                      const BellwetherPick& self,
                      const std::vector<SplitCriterion>& candidates,
                      const std::vector<std::vector<double>>& min_error,
@@ -175,8 +167,8 @@ int32_t FinalizeNode(const ItemSplitFeatures& feats,
       best = static_cast<int32_t>(c);
     }
   }
-  if (best < 0) return -1;
-  if (config.require_positive_goodness && !(best_goodness > 0.0)) return -1;
+  // A split must strictly reduce the error (best < 0 leaves -inf here).
+  if (!(best_goodness > 0.0)) return -1;
   node->split = candidates[best];
   node->goodness = best_goodness;
   return best;
@@ -340,11 +332,7 @@ std::vector<int32_t> RootItems(const ItemSplitFeatures& feats,
                                const std::vector<uint8_t>* item_mask) {
   std::vector<int32_t> items;
   for (int32_t i = 0; i < feats.num_items(); ++i) {
-    if (item_mask != nullptr && (static_cast<size_t>(i) >= item_mask->size() ||
-                                 (*item_mask)[i] == 0)) {
-      continue;
-    }
-    items.push_back(i);
+    if (!ItemMasked(item_mask, i)) items.push_back(i);
   }
   return items;
 }
@@ -412,8 +400,6 @@ void FillTreeReport(std::string_view name, const TreeBuildConfig& config,
               static_cast<int64_t>(config.max_numeric_split_points));
   r.SetConfig("tree.min_examples_per_model",
               static_cast<int64_t>(config.min_examples_per_model));
-  r.SetConfig("tree.require_positive_goodness",
-              static_cast<int64_t>(config.require_positive_goodness ? 1 : 0));
   r.SetCount("tree.data_passes", t.data_passes);
   r.SetCount("tree.region_reads", t.region_reads);
   r.SetCount("tree.nodes_created", t.nodes_created);
@@ -425,6 +411,88 @@ void FillTreeReport(std::string_view name, const TreeBuildConfig& config,
   r.AddPhase("tree.build", t.build_seconds);
   tree->set_build_report(std::move(r));
 }
+
+// Per level-position state of the RainForest builder, folded across the
+// level's scan in region order.
+struct NodeEval {
+  std::vector<SplitCriterion> candidates;
+  BellwetherPick self;
+  std::vector<std::vector<double>> min_error;  // [cand][partition]
+};
+
+// One region's statistics for every node of a level: the sufficient
+// statistic of each node's items and of each candidate partition, and their
+// errors. Buffers are recycled across the regions of a level, so the scan
+// allocates none per region once a buffer is shaped.
+struct RegionLevelStats {
+  const RegionTrainingSet* set = nullptr;  // the region being collected
+  RegionTrainingSet copy;  // parallel scans: rows the task owns
+  std::vector<RegressionSuffStats> self_stats;                      // [v]
+  std::vector<double> self_error;                                   // [v]
+  std::vector<std::vector<std::vector<RegressionSuffStats>>> part;  // [v][c][p]
+  std::vector<std::vector<std::vector<double>>> part_error;         // [v][c][p]
+};
+
+// What a level's per-region task reads; unchanged during the scan.
+struct LevelView {
+  const ItemSplitFeatures& feats;
+  const std::vector<NodeEval>& evals;
+  const std::vector<int32_t>& node_of_item;  // item -> level position or -1
+  int32_t min_examples;
+
+  // Fills `r` from the rows of `*r->set`, in row order.
+  void Collect(RegionLevelStats* r) const {
+    const RegionTrainingSet& set = *r->set;
+    const size_t width = evals.size();
+    if (r->self_stats.empty() ||
+        r->self_stats[0].num_features() !=
+            static_cast<size_t>(set.num_features)) {
+      const RegressionSuffStats zero(set.num_features);
+      r->self_stats.assign(width, zero);
+      r->self_error.resize(width);
+      r->part.resize(width);
+      r->part_error.resize(width);
+      for (size_t v = 0; v < width; ++v) {
+        const std::vector<SplitCriterion>& cands = evals[v].candidates;
+        r->part[v].resize(cands.size());
+        r->part_error[v].resize(cands.size());
+        for (size_t c = 0; c < cands.size(); ++c) {
+          r->part[v][c].assign(cands[c].num_partitions, zero);
+          r->part_error[v][c].resize(cands[c].num_partitions);
+        }
+      }
+    } else {
+      for (auto& st : r->self_stats) st.Reset();
+      for (auto& node : r->part) {
+        for (auto& cand : node) {
+          for (auto& st : cand) st.Reset();
+        }
+      }
+    }
+    for (size_t row = 0; row < set.num_examples(); ++row) {
+      const int32_t v = node_of_item[set.items[row]];
+      if (v < 0) continue;
+      r->self_stats[v].Add(set.row(row), set.targets[row], set.weight(row));
+      const std::vector<SplitCriterion>& cands = evals[v].candidates;
+      for (size_t c = 0; c < cands.size(); ++c) {
+        const int32_t p = cands[c].PartitionOf(feats, set.items[row]);
+        if (p >= 0) {
+          r->part[v][c][p].Add(set.row(row), set.targets[row],
+                               set.weight(row));
+        }
+      }
+    }
+    for (size_t v = 0; v < width; ++v) {
+      r->self_error[v] = TrainingErrorOfStats(r->self_stats[v], min_examples);
+      for (size_t c = 0; c < r->part[v].size(); ++c) {
+        for (size_t p = 0; p < r->part[v][c].size(); ++p) {
+          r->part_error[v][c][p] =
+              TrainingErrorOfStats(r->part[v][c][p], min_examples);
+        }
+      }
+    }
+  }
+};
 
 }  // namespace
 
@@ -472,7 +540,7 @@ Result<BellwetherTree> BuildBellwetherTreeNaive(
           stats.Add(set.row(row), set.targets[row], set.weight(row));
         }
       }
-      self.Offer(ErrorOfStats(stats, config.min_examples_per_model),
+      self.Offer(TrainingErrorOfStats(stats, config.min_examples_per_model),
                  set.region, stats);
     }
 
@@ -507,9 +575,10 @@ Result<BellwetherTree> BuildBellwetherTreeNaive(
             if (m >= 0) part_stats[m].Add(set.row(row), set.targets[row], set.weight(row));
           }
           for (int32_t p = 0; p < crit.num_partitions; ++p) {
-            min_error[c][p] = std::min(
-                min_error[c][p],
-                ErrorOfStats(part_stats[p], config.min_examples_per_model));
+            min_error[c][p] =
+                std::min(min_error[c][p],
+                         TrainingErrorOfStats(part_stats[p],
+                                              config.min_examples_per_model));
           }
         }
         // Restore plain membership for the next candidate.
@@ -517,9 +586,8 @@ Result<BellwetherTree> BuildBellwetherTreeNaive(
       }
     }
 
-    const int32_t chosen = FinalizeNode(*feats, config, work, self,
-                                        candidates, min_error, &node,
-                                        &telemetry);
+    const int32_t chosen = FinalizeNode(*feats, work, self, candidates,
+                                        min_error, &node, &telemetry);
     if (chosen >= 0) {
       ExpandChildren(*feats, std::move(work), &nodes, work.node_index,
                      &queue);
@@ -561,15 +629,10 @@ Result<BellwetherTree> BuildBellwetherTreeRainForest(
   std::deque<PendingNode> level;
   level.push_back(PendingNode{0, RootItems(*feats, item_mask)});
 
-  // Per level-position evaluation state.
-  struct NodeEval {
-    bool active = false;
-    std::vector<SplitCriterion> candidates;
-    RegressionSuffStats self_stats;                       // current region
-    std::vector<std::vector<RegressionSuffStats>> part;   // [cand][partition]
-    BellwetherPick self;
-    std::vector<std::vector<double>> min_error;           // [cand][partition]
-  };
+  // One pool for the whole build. Its tasks reference per-level state, so a
+  // level scan that aborts drains the pool before returning.
+  std::unique_ptr<exec::ThreadPool> pool;
+  if (num_threads > 1) pool = std::make_unique<exec::ThreadPool>(num_threads);
 
   while (!level.empty()) {
     const size_t width = level.size();
@@ -580,9 +643,8 @@ Result<BellwetherTree> BuildBellwetherTreeRainForest(
       TreeNode& node = nodes[work.node_index];
       node.num_items = static_cast<int32_t>(work.items.size());
       for (int32_t i : work.items) node_of_item[i] = static_cast<int32_t>(v);
-      evals[v].active = node.depth < config.max_depth &&
-                        node.num_items >= config.min_items;
-      if (evals[v].active) {
+      if (node.depth < config.max_depth &&
+          node.num_items >= config.min_items) {
         evals[v].candidates = GenerateCandidates(*feats, work.items, config);
         evals[v].min_error.resize(evals[v].candidates.size());
         for (size_t c = 0; c < evals[v].candidates.size(); ++c) {
@@ -598,145 +660,59 @@ Result<BellwetherTree> BuildBellwetherTreeRainForest(
     ++telemetry.data_passes;
     int64_t level_stats = 0;
     for (const auto& e : evals) {
-      level_stats += 1;  // self_stats
+      level_stats += 1;  // self stats
       for (const auto& c : e.candidates) level_stats += c.num_partitions;
       telemetry.candidates_evaluated +=
           static_cast<int64_t>(e.candidates.size());
     }
     telemetry.suff_stats_peak =
         std::max(telemetry.suff_stats_peak, level_stats);
-    // The pool is created per level, *after* the level state the worker
-    // tasks reference: if the scan aborts mid-level, the pool's destructor
-    // (or the explicit Wait below) drains the queued tasks while `evals` and
-    // `node_of_item` are still alive.
-    std::unique_ptr<exec::ThreadPool> pool;
-    if (num_threads > 1) pool = std::make_unique<exec::ThreadPool>(num_threads);
-    Status scan_status;
-    if (pool == nullptr) {
-      bool stats_sized = false;
-      scan_status = source->Scan([&](const RegionTrainingSet& set) -> Status {
-        if (!stats_sized) {
-          stats_sized = true;
-          for (auto& e : evals) {
-            e.self_stats = RegressionSuffStats(set.num_features);
-            e.part.resize(e.candidates.size());
-            for (size_t c = 0; c < e.candidates.size(); ++c) {
-              e.part[c].assign(e.candidates[c].num_partitions,
-                               RegressionSuffStats(set.num_features));
-            }
-          }
-        } else {
-          for (auto& e : evals) {
-            e.self_stats.Reset();
-            for (auto& ps : e.part) {
-              for (auto& st : ps) st.Reset();
-            }
-          }
-        }
-        for (size_t row = 0; row < set.num_examples(); ++row) {
-          const int32_t v = node_of_item[set.items[row]];
-          if (v < 0) continue;
-          NodeEval& e = evals[v];
-          e.self_stats.Add(set.row(row), set.targets[row], set.weight(row));
-          for (size_t c = 0; c < e.candidates.size(); ++c) {
-            const int32_t p =
-                e.candidates[c].PartitionOf(*feats, set.items[row]);
-            if (p >= 0) e.part[c][p].Add(set.row(row), set.targets[row], set.weight(row));
-          }
-        }
-        for (auto& e : evals) {
-          e.self.Offer(
-              ErrorOfStats(e.self_stats, config.min_examples_per_model),
-              set.region, e.self_stats);
-          for (size_t c = 0; c < e.candidates.size(); ++c) {
-            for (size_t p = 0; p < e.part[c].size(); ++p) {
-              e.min_error[c][p] = std::min(
-                  e.min_error[c][p],
-                  ErrorOfStats(e.part[c][p], config.min_examples_per_model));
-            }
-          }
-        }
-        return Status::OK();
-      });
-    } else {
-      // Parallel path: each region's level statistics are computed on a
-      // worker from a private copy of the training set (row order, and hence
-      // every floating-point accumulation, matches the serial loop exactly),
-      // then folded into the level state in scan order — the same
-      // Offer()/min() sequence the serial loop performs, so the resulting
-      // tree is bit-identical for every thread count.
-      struct RegionLevelStats {
-        olap::RegionId region = olap::kInvalidRegion;
-        std::vector<RegressionSuffStats> self_stats;               // [v]
-        std::vector<double> self_error;                            // [v]
-        std::vector<std::vector<std::vector<double>>> part_error;  // [v][c][p]
-      };
-      exec::MergeInSubmissionOrder<RegionLevelStats> reducer(
-          pool.get(),
-          /*max_outstanding=*/2 * static_cast<size_t>(num_threads),
-          "tree.level_scan", [&](size_t, RegionLevelStats r) -> Status {
-            for (size_t v = 0; v < width; ++v) {
-              NodeEval& e = evals[v];
-              e.self.Offer(r.self_error[v], r.region, r.self_stats[v]);
-              for (size_t c = 0; c < e.min_error.size(); ++c) {
-                for (size_t p = 0; p < e.min_error[c].size(); ++p) {
-                  e.min_error[c][p] =
-                      std::min(e.min_error[c][p], r.part_error[v][c][p]);
-                }
-              }
-            }
-            return Status::OK();
-          });
-      scan_status = source->Scan([&](const RegionTrainingSet& set) -> Status {
-        return reducer.Submit([&feats, &evals, &node_of_item, &config, width,
-                               set = set]() {
-          RegionLevelStats r;
-          r.region = set.region;
-          r.self_stats.assign(width, RegressionSuffStats(set.num_features));
-          r.self_error.assign(width, 0.0);
-          r.part_error.resize(width);
-          std::vector<std::vector<std::vector<RegressionSuffStats>>> part(
-              width);
+    // Each region's statistics are collected by one task (inline without a
+    // pool, on a worker otherwise) and folded into the level state in scan
+    // order: the same Offer()/min() sequence for every thread count, so the
+    // tree is bit-identical to the serial build. The fold returns each
+    // buffer to `spare` for the scan to reuse.
+    const LevelView view{*feats, evals, node_of_item,
+                         config.min_examples_per_model};
+    std::vector<std::unique_ptr<RegionLevelStats>> buffers;
+    std::vector<RegionLevelStats*> spare;
+    exec::MergeInSubmissionOrder<RegionLevelStats*> reducer(
+        pool.get(),
+        /*max_outstanding=*/2 * static_cast<size_t>(num_threads),
+        "tree.level_scan", [&](size_t, RegionLevelStats* r) -> Status {
           for (size_t v = 0; v < width; ++v) {
-            const NodeEval& e = evals[v];
-            part[v].resize(e.candidates.size());
-            r.part_error[v].resize(e.candidates.size());
-            for (size_t c = 0; c < e.candidates.size(); ++c) {
-              part[v][c].assign(e.candidates[c].num_partitions,
-                                RegressionSuffStats(set.num_features));
-              r.part_error[v][c].assign(e.candidates[c].num_partitions, kInf);
-            }
-          }
-          for (size_t row = 0; row < set.num_examples(); ++row) {
-            const int32_t v = node_of_item[set.items[row]];
-            if (v < 0) continue;
-            const NodeEval& e = evals[v];
-            r.self_stats[v].Add(set.row(row), set.targets[row],
-                                set.weight(row));
-            for (size_t c = 0; c < e.candidates.size(); ++c) {
-              const int32_t p =
-                  e.candidates[c].PartitionOf(*feats, set.items[row]);
-              if (p >= 0) {
-                part[v][c][p].Add(set.row(row), set.targets[row],
-                                  set.weight(row));
+            NodeEval& e = evals[v];
+            e.self.Offer(r->self_error[v], r->set->region, r->self_stats[v]);
+            for (size_t c = 0; c < e.min_error.size(); ++c) {
+              for (size_t p = 0; p < e.min_error[c].size(); ++p) {
+                e.min_error[c][p] =
+                    std::min(e.min_error[c][p], r->part_error[v][c][p]);
               }
             }
           }
-          for (size_t v = 0; v < width; ++v) {
-            r.self_error[v] =
-                ErrorOfStats(r.self_stats[v], config.min_examples_per_model);
-            for (size_t c = 0; c < part[v].size(); ++c) {
-              for (size_t p = 0; p < part[v][c].size(); ++p) {
-                r.part_error[v][c][p] =
-                    ErrorOfStats(part[v][c][p], config.min_examples_per_model);
-              }
-            }
-          }
-          return r;
+          spare.push_back(r);
+          return Status::OK();
         });
-      });
-      if (scan_status.ok()) scan_status = reducer.Finish();
-    }
+    Status scan_status =
+        source->Scan([&](const RegionTrainingSet& set) -> Status {
+          if (spare.empty()) {
+            buffers.push_back(std::make_unique<RegionLevelStats>());
+            spare.push_back(buffers.back().get());
+          }
+          RegionLevelStats* r = spare.back();
+          spare.pop_back();
+          r->set = &set;
+          if (reducer.parallel()) {
+            // The task outlives this callback; it reads its own copy.
+            r->copy = set;
+            r->set = &r->copy;
+          }
+          return reducer.Submit([&view, r] {
+            view.Collect(r);
+            return r;
+          });
+        });
+    if (scan_status.ok()) scan_status = reducer.Finish();
     if (!scan_status.ok()) {
       // Queued tasks reference this level's state; drain them before the
       // early return unwinds it.
@@ -752,8 +728,8 @@ Result<BellwetherTree> BuildBellwetherTreeRainForest(
       PendingNode work = std::move(level[v]);
       NodeEval& e = evals[v];
       const int32_t chosen =
-          FinalizeNode(*feats, config, work, e.self, e.candidates,
-                       e.min_error, &nodes[work.node_index], &telemetry);
+          FinalizeNode(*feats, work, e.self, e.candidates, e.min_error,
+                       &nodes[work.node_index], &telemetry);
       if (chosen >= 0) {
         ExpandChildren(*feats, std::move(work), &nodes, work.node_index,
                        &next);

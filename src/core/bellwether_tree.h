@@ -173,8 +173,6 @@ struct TreeBuildConfig {
   int32_t max_numeric_split_points = 50;
   /// A (region, subset) model needs at least this many examples.
   int32_t min_examples_per_model = 5;
-  /// Do not apply a split whose goodness is not strictly positive.
-  bool require_positive_goodness = true;
   /// Parallel per-level statistics collection (RainForest builder only; the
   /// naive builder is the reference implementation and stays serial). Each
   /// region's sufficient statistics are computed on a worker and folded into

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/check.h"
+#include "core/cube_build_internal.h"
 
 namespace bellwether::core {
 
@@ -28,22 +29,6 @@ struct Pick {
     }
   }
 };
-
-bool ItemMasked(const std::vector<uint8_t>* item_mask, int32_t item) {
-  return item_mask != nullptr &&
-         (static_cast<size_t>(item) >= item_mask->size() ||
-          (*item_mask)[item] == 0);
-}
-
-std::vector<int32_t> SubsetSizes(const ItemSubsetSpace& subsets,
-                                 const std::vector<uint8_t>* item_mask) {
-  std::vector<int32_t> sizes(subsets.NumSubsets(), 0);
-  for (int32_t i = 0; i < subsets.num_items(); ++i) {
-    if (ItemMasked(item_mask, i)) continue;
-    subsets.ForEachContainingSubset(i, [&](SubsetId s) { ++sizes[s]; });
-  }
-  return sizes;
-}
 
 Status ValidateConfig(const ClassificationCubeConfig& config) {
   if (!config.labeler) {
@@ -116,13 +101,10 @@ Result<ClassificationCube> BuildClassificationCubeNaive(
     const ClassificationCubeConfig& config,
     const std::vector<uint8_t>* item_mask) {
   BW_RETURN_IF_ERROR(ValidateConfig(config));
-  const std::vector<int32_t> sizes = SubsetSizes(*subsets, item_mask);
-  std::vector<SubsetId> significant;
-  for (size_t s = 0; s < sizes.size(); ++s) {
-    if (sizes[s] >= std::max(config.min_subset_size, 1)) {
-      significant.push_back(static_cast<SubsetId>(s));
-    }
-  }
+  const std::vector<int32_t> sizes =
+      internal::SubsetSizes(*subsets, item_mask);
+  const std::vector<SubsetId> significant =
+      internal::SignificantSubsets(sizes, config.min_subset_size);
   std::vector<Pick> picks(significant.size());
   const size_t num_sets = source->num_region_sets();
 
@@ -170,29 +152,17 @@ Result<ClassificationCube> BuildClassificationCubeOptimized(
     const ClassificationCubeConfig& config,
     const std::vector<uint8_t>* item_mask) {
   BW_RETURN_IF_ERROR(ValidateConfig(config));
-  const std::vector<int32_t> sizes = SubsetSizes(*subsets, item_mask);
-  std::vector<SubsetId> significant;
-  std::vector<int64_t> sig_index(subsets->NumSubsets(), -1);
-  for (size_t s = 0; s < sizes.size(); ++s) {
-    if (sizes[s] >= std::max(config.min_subset_size, 1)) {
-      sig_index[s] = static_cast<int64_t>(significant.size());
-      significant.push_back(static_cast<SubsetId>(s));
-    }
-  }
+  const std::vector<int32_t> sizes =
+      internal::SubsetSizes(*subsets, item_mask);
+  const std::vector<SubsetId> significant =
+      internal::SignificantSubsets(sizes, config.min_subset_size);
   std::vector<Pick> picks(significant.size());
-
-  // Per item: base subset and (significant) containing subsets.
+  const std::vector<std::vector<int32_t>> containing =
+      internal::ContainingSignificantSubsets(*subsets, significant, item_mask);
+  // Per item: its base subset (leaf coordinate combination).
   std::vector<SubsetId> base_of(subsets->num_items());
-  std::vector<std::vector<int32_t>> containing(subsets->num_items());
   for (int32_t i = 0; i < subsets->num_items(); ++i) {
     base_of[i] = subsets->BaseSubsetOf(i);
-    if (ItemMasked(item_mask, i)) continue;
-    subsets->ForEachContainingSubset(i, [&](SubsetId s) {
-      if (sig_index[s] >= 0) {
-        containing[i].push_back(static_cast<int32_t>(sig_index[s]));
-      }
-    });
-    std::sort(containing[i].begin(), containing[i].end());
   }
 
   const size_t num_subsets = static_cast<size_t>(subsets->NumSubsets());
@@ -218,35 +188,7 @@ Result<ClassificationCube> BuildClassificationCubeOptimized(
       s.Add(set.row(row), config.labeler(set.targets[row]));
     }
     // Lattice rollup (element-wise merges; NB statistics are algebraic).
-    {
-      const olap::RegionSpace& space = subsets->space();
-      const size_t nd = space.num_dims();
-      std::vector<int32_t> cards(nd);
-      std::vector<int64_t> strides(nd, 1);
-      for (size_t d = 0; d < nd; ++d) {
-        cards[d] = olap::DimensionCardinality(space.dim(d));
-      }
-      for (size_t d = nd - 1; d-- > 0;) {
-        strides[d] = strides[d + 1] * cards[d + 1];
-      }
-      for (size_t d = 0; d < nd; ++d) {
-        const auto& h =
-            std::get<olap::HierarchicalDimension>(space.dim(d));
-        for (olap::NodeId n : h.NodesBottomUp()) {
-          if (n == h.root()) continue;
-          const olap::NodeId parent = h.parent(n);
-          const int64_t stride = strides[d];
-          const int64_t block = stride * cards[d];
-          for (int64_t hi = 0; hi < space.NumRegions(); hi += block) {
-            for (int64_t lo = 0; lo < stride; ++lo) {
-              NbSuffStats& src = lattice[hi + n * stride + lo];
-              if (src.empty()) continue;
-              lattice[hi + parent * stride + lo].Merge(src);
-            }
-          }
-        }
-      }
-    }
+    internal::RollupSubsetStats(subsets->space(), &lattice);
     // Fit per significant subset.
     for (size_t k = 0; k < significant.size(); ++k) {
       wrong[k] = 0;

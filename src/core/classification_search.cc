@@ -20,12 +20,7 @@ classify::LabeledDataset ToLabeled(
   data.num_features = set.num_features;
   std::vector<double> row(set.num_features);
   for (size_t i = 0; i < set.num_examples(); ++i) {
-    const int32_t item = set.items[i];
-    if (item_mask != nullptr &&
-        (static_cast<size_t>(item) >= item_mask->size() ||
-         (*item_mask)[item] == 0)) {
-      continue;
-    }
+    if (ItemMasked(item_mask, set.items[i])) continue;
     row.assign(set.row(i), set.row(i) + set.num_features);
     data.Add(row, labeler(set.targets[i]));
   }

@@ -6,10 +6,12 @@
 #include <limits>
 #include <memory>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "common/stopwatch.h"
 #include "core/bellwether_cube.h"
+#include "core/eval_util.h"
 #include "olap/region.h"
 #include "regression/linear_model.h"
 #include "storage/training_data.h"
@@ -19,7 +21,10 @@
 /// BellwetherState all produce cubes through the same two phases exposed
 /// here — derive a CubeCell from a per-subset Pick, then assemble cells into
 /// a BellwetherCube with its telemetry and flight-recorder report — so their
-/// outputs stay bit-identical by construction. Not part of the public API.
+/// outputs stay bit-identical by construction. The Gaussian NB
+/// classification cube shares the lattice skeleton (subset sizes,
+/// significant subsets, containing lists, rollup). Not part of the public
+/// API.
 namespace bellwether::core::internal {
 
 inline constexpr double kCubeInf = std::numeric_limits<double>::infinity();
@@ -63,8 +68,6 @@ std::vector<int32_t> SubsetSizes(const ItemSubsetSpace& subsets,
 std::vector<SubsetId> SignificantSubsets(const std::vector<int32_t>& sizes,
                                          int32_t min_size);
 
-bool ItemMasked(const std::vector<uint8_t>* item_mask, int32_t item);
-
 /// Per item, the significant subsets that contain it, as ascending indices
 /// into `significant`; masked items get an empty list. Folding each row into
 /// exactly these subsets is the per-region work of the single-scan builder
@@ -72,6 +75,40 @@ bool ItemMasked(const std::vector<uint8_t>* item_mask, int32_t item);
 std::vector<std::vector<int32_t>> ContainingSignificantSubsets(
     const ItemSubsetSpace& subsets, const std::vector<SubsetId>& significant,
     const std::vector<uint8_t>* item_mask);
+
+/// In-place lattice rollup of per-subset statistics, indexed by SubsetId:
+/// each hierarchy node merges into its parent, one hierarchy at a time (the
+/// data-cube computation of Observation 1 / Theorem 1). `Stats` needs only
+/// empty() and Merge(), so the regression and the classification cube roll
+/// up through the same loops in the same order.
+template <typename Stats>
+void RollupSubsetStats(const olap::RegionSpace& space,
+                       std::vector<Stats>* stats) {
+  const size_t nd = space.num_dims();
+  std::vector<int32_t> cards(nd);
+  std::vector<int64_t> strides(nd, 1);
+  for (size_t d = 0; d < nd; ++d) {
+    cards[d] = olap::DimensionCardinality(space.dim(d));
+  }
+  for (size_t d = nd - 1; d-- > 0;) strides[d] = strides[d + 1] * cards[d + 1];
+  const int64_t total = space.NumRegions();
+  for (size_t d = 0; d < nd; ++d) {
+    const auto& h = std::get<olap::HierarchicalDimension>(space.dim(d));
+    const int64_t stride = strides[d];
+    const int64_t block = stride * cards[d];
+    for (olap::NodeId n : h.NodesBottomUp()) {
+      if (n == h.root()) continue;
+      const olap::NodeId parent = h.parent(n);
+      for (int64_t hi = 0; hi < total; hi += block) {
+        for (int64_t lo = 0; lo < stride; ++lo) {
+          Stats& src = (*stats)[hi + n * stride + lo];
+          if (src.empty()) continue;
+          (*stats)[hi + parent * stride + lo].Merge(src);
+        }
+      }
+    }
+  }
+}
 
 /// Access to a region's raw training rows for the CV post-pass, abstracted
 /// over where the rows live (a TrainingDataSource for the reference

@@ -21,12 +21,7 @@ regression::Dataset ToDataset(const storage::RegionTrainingSet& set,
   data.Reserve(set.num_examples());
   std::vector<double> row(set.num_features);
   for (size_t i = 0; i < set.num_examples(); ++i) {
-    const int32_t item = set.items[i];
-    if (item_mask != nullptr &&
-        (static_cast<size_t>(item) >= item_mask->size() ||
-         (*item_mask)[item] == 0)) {
-      continue;
-    }
+    if (ItemMasked(item_mask, set.items[i])) continue;
     row.assign(set.row(i), set.row(i) + set.num_features);
     if (set.weighted()) {
       data.AddWeighted(row, set.targets[i], set.weight(i));

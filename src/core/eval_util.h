@@ -18,6 +18,15 @@ namespace bellwether::core {
 double TrainingErrorOfStats(const regression::RegressionSuffStats& stats,
                             int32_t min_examples);
 
+/// True when `item_mask` is non-null and excludes `item` (a zero entry, or
+/// an item past the end of the mask). A null mask excludes nothing. The one
+/// item-mask test of every builder, search and evaluator.
+inline bool ItemMasked(const std::vector<uint8_t>* item_mask, int32_t item) {
+  return item_mask != nullptr &&
+         (static_cast<size_t>(item) >= item_mask->size() ||
+          (*item_mask)[item] == 0);
+}
+
 /// Builds a regression dataset from a region training set. When `item_mask`
 /// is non-null, only rows whose item index has a non-zero mask entry are
 /// included (used by item-centric cross-validation and by the tree/cube

@@ -8,6 +8,7 @@
 #include "common/check.h"
 #include "core/eval_util.h"
 #include "olap/cube.h"
+#include "table/ops.h"
 
 namespace bellwether::core {
 
@@ -20,23 +21,6 @@ using table::Table;
 
 // Key of one instance: (dense item index, finest cell id).
 using InstanceKey = std::pair<int32_t, int64_t>;
-
-Result<std::unordered_map<int64_t, size_t>> BuildKeyIndex(
-    const Table& ref, const std::string& key_column) {
-  auto idx = ref.schema().FindField(key_column);
-  if (!idx.has_value()) {
-    return Status::NotFound("reference key column missing: " + key_column);
-  }
-  const auto& col = ref.column(*idx);
-  std::unordered_map<int64_t, size_t> out;
-  for (size_t r = 0; r < ref.num_rows(); ++r) {
-    if (col.IsNull(r)) continue;
-    if (!out.emplace(col.Int64At(r), r).second) {
-      return Status::InvalidArgument("duplicate reference key");
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -95,8 +79,8 @@ Result<BagTrainingSet> GenerateBagTrainingSet(const BellwetherSpec& spec,
       return Status::NotFound("reference: " + q.reference);
     }
     BW_ASSIGN_OR_RETURN(auto index,
-                        BuildKeyIndex(*it->second.table,
-                                      it->second.key_column));
+                        table::BuildKeyIndex(*it->second.table,
+                                             it->second.key_column));
     key_indexes.emplace(q.reference, std::move(index));
   }
 

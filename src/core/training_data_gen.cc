@@ -96,29 +96,6 @@ Status ValidateSpec(const BellwetherSpec& spec) {
   return Status::OK();
 }
 
-// Hash index over a reference table's primary key -> row.
-Result<std::unordered_map<int64_t, size_t>> BuildKeyIndex(
-    const Table& ref, const std::string& key_column) {
-  auto idx = ref.schema().FindField(key_column);
-  if (!idx.has_value()) {
-    return Status::NotFound("reference key column missing: " + key_column);
-  }
-  const auto& col = ref.column(*idx);
-  if (col.type() != DataType::kInt64) {
-    return Status::InvalidArgument("reference keys must be int64: " +
-                                   key_column);
-  }
-  std::unordered_map<int64_t, size_t> out;
-  out.reserve(ref.num_rows() * 2);
-  for (size_t r = 0; r < ref.num_rows(); ++r) {
-    if (col.IsNull(r)) continue;
-    if (!out.emplace(col.Int64At(r), r).second) {
-      return Status::InvalidArgument("duplicate reference key");
-    }
-  }
-  return out;
-}
-
 // Aggregates a set of reference measure values with fn.
 double AggregateValues(AggFn fn, const std::vector<double>& vals) {
   if (fn == AggFn::kCount || fn == AggFn::kCountDistinct) {
@@ -267,7 +244,7 @@ class TrainingDataGenerator {
       if (key_indexes_.count(q.reference)) continue;
       const auto& ref = spec_.references.at(q.reference);
       BW_ASSIGN_OR_RETURN(auto index,
-                          BuildKeyIndex(*ref.table, ref.key_column));
+                          table::BuildKeyIndex(*ref.table, ref.key_column));
       key_indexes_.emplace(q.reference, std::move(index));
     }
 

@@ -172,6 +172,28 @@ Result<Table> ProjectDistinct(const Table& input,
   return out;
 }
 
+Result<std::unordered_map<int64_t, size_t>> BuildKeyIndex(
+    const Table& reference, const std::string& key_column) {
+  auto idx = reference.schema().FindField(key_column);
+  if (!idx.has_value()) {
+    return Status::NotFound("reference key column missing: " + key_column);
+  }
+  const auto& col = reference.column(*idx);
+  if (col.type() != DataType::kInt64) {
+    return Status::InvalidArgument("reference keys must be int64: " +
+                                   key_column);
+  }
+  std::unordered_map<int64_t, size_t> out;
+  out.reserve(reference.num_rows() * 2);
+  for (size_t r = 0; r < reference.num_rows(); ++r) {
+    if (col.IsNull(r)) continue;
+    if (!out.emplace(col.Int64At(r), r).second) {
+      return Status::InvalidArgument("duplicate reference key");
+    }
+  }
+  return out;
+}
+
 Result<Table> KeyForeignKeyJoin(const Table& fact, const std::string& fact_fk,
                                 const Table& reference,
                                 const std::string& ref_key) {

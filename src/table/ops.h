@@ -1,8 +1,11 @@
 #ifndef BELLWETHER_TABLE_OPS_H_
 #define BELLWETHER_TABLE_OPS_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -37,6 +40,12 @@ Result<Table> Project(const Table& input,
 Result<Table> KeyForeignKeyJoin(const Table& fact, const std::string& fact_fk,
                                 const Table& reference,
                                 const std::string& ref_key);
+
+/// Hash index over a reference table's int64 primary key: key -> row. Null
+/// keys are skipped. kNotFound when `key_column` is missing;
+/// kInvalidArgument when it is not int64 or holds a duplicate key.
+Result<std::unordered_map<int64_t, size_t>> BuildKeyIndex(
+    const Table& reference, const std::string& key_column);
 
 /// Aggregate functions of the paper (all distributive or algebraic).
 enum class AggFn {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "core/multi_instance.h"
 #include "core/training_data_gen.h"
@@ -126,6 +128,43 @@ TEST_F(MultiInstanceTest, SearchFindsPlantedStateRegion) {
     EXPECT_LE(spec_->cost->RegionCost(region), spec_->budget);
     EXPECT_GE(rmse, result->error.rmse - 1e-12);
   }
+}
+
+TEST_F(MultiInstanceTest, NonInt64ReferenceKeyIsInvalidArgument) {
+  // The reference table of the first reference feature, with its key column
+  // retyped to double: bag generation must reject the keys, as training-data
+  // generation does, instead of reading the column as int64.
+  BellwetherSpec spec = *spec_;
+  std::string name;
+  for (const auto& q : spec.regional_features) {
+    if (q.kind != FeatureQuery::Kind::kFactMeasure) {
+      name = q.reference;
+      break;
+    }
+  }
+  ASSERT_FALSE(name.empty());
+  const ReferenceTable& ref = spec.references.at(name);
+  const table::Table& original = *ref.table;
+  const size_t key = *original.schema().FindField(ref.key_column);
+  table::Schema schema;
+  for (const table::Field& f : original.schema().fields()) {
+    schema.AddField(f.name == ref.key_column
+                        ? table::Field{f.name, table::DataType::kDouble}
+                        : f);
+  }
+  table::Table retyped(schema);
+  for (size_t r = 0; r < original.num_rows(); ++r) {
+    std::vector<table::Value> row = original.RowAt(r);
+    if (!row[key].is_null()) row[key] = table::Value(row[key].AsDouble());
+    retyped.AppendRow(row);
+  }
+  spec.references[name].table = &retyped;
+
+  const olap::RegionId region = *spec.space->FindRegion({"1-3", "MD"});
+  auto bags = GenerateBagTrainingSet(spec, region);
+  ASSERT_FALSE(bags.ok());
+  EXPECT_EQ(bags.status().code(), StatusCode::kInvalidArgument)
+      << bags.status().ToString();
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests of the parallel execution layer (src/exec/): thread-pool basics and
-// draining, ParallelFor/ParallelMap index coverage, the ordered streaming
-// reduce (MergeInSubmissionOrder), its error propagation, and the exec
-// metrics. The stress cases double as the TSAN targets of the tsan preset.
+// draining, the ordered streaming reduce (MergeInSubmissionOrder), its error
+// propagation, and the exec metrics. The stress cases double as the TSAN
+// targets of the tsan preset.
 
 #include <gtest/gtest.h>
 
@@ -69,38 +69,6 @@ TEST(ThreadPoolTest, SubmitFromMultipleThreadsStress) {
   for (auto& p : producers) p.join();
   pool.Wait();
   EXPECT_EQ(sum.load(), 1500);
-}
-
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  for (int32_t threads : {1, 2, 4}) {
-    ThreadPool pool(threads);
-    std::vector<std::atomic<int32_t>> hits(1000);
-    for (auto& h : hits) h = 0;
-    ParallelFor(threads > 1 ? &pool : nullptr, hits.size(),
-                [&](size_t i) { hits[i].fetch_add(1); });
-    for (size_t i = 0; i < hits.size(); ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "index " << i << " threads " << threads;
-    }
-  }
-}
-
-TEST(ParallelForTest, ZeroAndOneElement) {
-  ThreadPool pool(2);
-  int calls = 0;
-  ParallelFor(&pool, 0, [&](size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  ParallelFor(&pool, 1, [&](size_t i) { calls += static_cast<int>(i) + 1; });
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ParallelMapTest, ResultsInIndexOrder) {
-  ThreadPool pool(4);
-  const std::vector<int64_t> out = ParallelMap<int64_t>(
-      &pool, 257, [](size_t i) { return static_cast<int64_t>(i * i); });
-  ASSERT_EQ(out.size(), 257u);
-  for (size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], static_cast<int64_t>(i * i));
-  }
 }
 
 TEST(MergeInSubmissionOrderTest, SerialRunsInlineAndInOrder) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -182,6 +183,85 @@ TEST(ParallelDeterminismTest, TreeBitIdenticalAcrossThreadCounts) {
     // Lemma 1 telemetry: one scan per level, regardless of thread count.
     EXPECT_EQ(src.io_stats().sequential_scans,
               tree->build_telemetry().data_passes);
+  }
+}
+
+// Delegates to `inner` and arms `storage.scan:io@1` once `arm_after` region
+// sets have been delivered, counted across scans: the fault point then fails
+// the next set, in the middle of a scan with region tasks still in flight.
+// Arms once, so a retried scan runs clean.
+class ArmScanFaultAfter final : public storage::TrainingDataSource {
+ public:
+  ArmScanFaultAfter(storage::TrainingDataSource* inner, int64_t arm_after)
+      : inner_(inner), arm_after_(arm_after) {}
+
+  size_t num_region_sets() const override { return inner_->num_region_sets(); }
+  Status Scan(const std::function<Status(const storage::RegionTrainingSet&)>&
+                  fn) override {
+    return inner_->Scan([&](const storage::RegionTrainingSet& set) -> Status {
+      BW_RETURN_IF_ERROR(fn(set));
+      if (++delivered_ == arm_after_) {
+        BW_RETURN_IF_ERROR(
+            robust::FaultRegistry::Default().Arm("storage.scan:io@1"));
+      }
+      return Status::OK();
+    });
+  }
+  Result<storage::RegionTrainingSet> Read(size_t index) override {
+    return inner_->Read(index);
+  }
+  std::vector<olap::RegionId> RegionIds() override {
+    return inner_->RegionIds();
+  }
+
+ private:
+  storage::TrainingDataSource* inner_;
+  const int64_t arm_after_;
+  int64_t delivered_ = 0;
+};
+
+TEST(ParallelDeterminismTest, TreeScanFaultAbortsCleanlyAcrossThreadCounts) {
+  datagen::SimulationDataset sim = MakeSim(43);
+  TreeBuildConfig config;
+  config.split_columns = sim.feature_columns;
+  config.min_items = 25;
+  config.max_depth = 4;
+  config.min_examples_per_model = 8;
+
+  storage::MemoryTrainingData serial_src(sim.sets);
+  auto serial = BuildBellwetherTreeRainForest(&serial_src, sim.items, config);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_GT(serial->build_telemetry().data_passes, 1)
+      << "want a second level scan";
+  // Arrival k = 1.5 x the number of sets falls inside the second level's
+  // scan: level 1 delivers every set, level 2 fails halfway.
+  const int64_t k = static_cast<int64_t>(sim.sets.size()) * 3 / 2;
+
+  for (int32_t threads : {1, 2, 4}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    TreeBuildConfig par = config;
+    par.exec.num_threads = threads;
+    {
+      ScopedFaults faults("");
+      storage::MemoryTrainingData inner(sim.sets);
+      ArmScanFaultAfter source(&inner, k - 1);
+      auto tree = BuildBellwetherTreeRainForest(&source, sim.items, par);
+      ASSERT_FALSE(tree.ok());
+      EXPECT_EQ(tree.status().code(), StatusCode::kIoError);
+      EXPECT_EQ(robust::FaultRegistry::Default().fires("storage.scan"), 1);
+    }
+    {
+      ScopedFaults faults("");
+      storage::MemoryTrainingData inner(sim.sets);
+      ArmScanFaultAfter armed(&inner, k - 1);
+      storage::RetryPolicy policy;
+      policy.sleep_fn = [](int64_t) {};
+      storage::RetryingTrainingDataSource source(&armed, policy);
+      auto tree = BuildBellwetherTreeRainForest(&source, sim.items, par);
+      ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+      ExpectTreesIdentical(*tree, *serial);
+      EXPECT_EQ(source.retry_stats().retries, 1);
+    }
   }
 }
 
