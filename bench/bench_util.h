@@ -164,9 +164,11 @@ class BenchRunner {
   obs::RunReport& report() { return report_; }
 
   /// Runs `fn` under a trace span and records its wall time as a report
-  /// phase. Same-name calls accumulate. Returns the elapsed seconds.
+  /// phase. Same-name calls accumulate. Returns the elapsed seconds. The
+  /// span's category is obs::kPhaseSpanCategory, so Finish() does not
+  /// record the phase a second time as "span/<phase>".
   double TimePhase(const char* phase, const std::function<void()>& fn) {
-    obs::TraceSpan span(phase, "bench");
+    obs::TraceSpan span(phase, obs::kPhaseSpanCategory);
     const double seconds = TimeIt(fn);
     report_.AddPhase(phase, seconds);
     return seconds;

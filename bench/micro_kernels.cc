@@ -135,8 +135,10 @@ void BM_WlsFit(benchmark::State& state) {
 }
 BENCHMARK(BM_WlsFit)->Arg(3)->Arg(6)->Arg(12)->Arg(24);
 
+// Arities 3 and 6 run the solve on stack scratch, 12 and 24 on one heap
+// buffer.
 void BM_TrainingSseFromStats(benchmark::State& state) {
-  const size_t p = 6;
+  const size_t p = state.range(0);
   Rng rng(4);
   regression::RegressionSuffStats stats(p);
   std::vector<double> x(p);
@@ -150,7 +152,7 @@ void BM_TrainingSseFromStats(benchmark::State& state) {
     benchmark::DoNotOptimize(sse);
   }
 }
-BENCHMARK(BM_TrainingSseFromStats);
+BENCHMARK(BM_TrainingSseFromStats)->Arg(3)->Arg(6)->Arg(12)->Arg(24);
 
 olap::RegionSpace MakeSpace(int32_t months, int32_t fanout) {
   std::vector<olap::Dimension> dims;

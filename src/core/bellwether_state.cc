@@ -1,6 +1,7 @@
 #include "core/bellwether_state.h"
 
 #include <algorithm>
+#include <cmath>
 #include <istream>
 #include <limits>
 #include <memory>
@@ -35,6 +36,11 @@ constexpr int64_t kMaxStateCount = int64_t{1} << 26;
 
 using regression::RegressionSuffStats;
 using storage::RegionTrainingSet;
+
+// The accumulators require w > 0 (RegressionSuffStats::Add,
+// Dataset::AddWeighted), so a row weight that is zero, negative or not
+// finite is rejected at the state's entry points rather than folded.
+bool ValidRowWeight(double w) { return w > 0.0 && std::isfinite(w); }
 
 // Registry counters for the incremental-maintenance path; resolved once and
 // cached (registry pointers are stable).
@@ -174,6 +180,12 @@ Status BellwetherState::ValidateDeltaBatch(
     }
     if (!set.weights.empty() && set.weights.size() != set.num_examples()) {
       return Status::InvalidArgument("delta set weights size mismatch");
+    }
+    for (double w : set.weights) {
+      if (!ValidRowWeight(w)) {
+        return Status::InvalidArgument(
+            "delta row weight must be positive and finite");
+      }
     }
     for (int32_t item : set.items) {
       if (item < 0 || item >= num_items) {
@@ -666,6 +678,9 @@ Result<std::unique_ptr<BellwetherState>> BellwetherState::DeserializeFrom(
       rows.weights.resize(static_cast<size_t>(n));
       for (double& v : rows.weights) {
         BW_RETURN_IF_ERROR(regression::ReadWireDouble(in, &v));
+        if (!ValidRowWeight(v)) {
+          return Status::IoError("state row weight not positive and finite");
+        }
       }
     }
   }

@@ -70,12 +70,15 @@ class BellwetherState {
   /// per-region row store. Sets must be strictly ascending by distinct
   /// RegionId within the batch (the same region may recur across batches;
   /// its retained rows concatenate in ingest order, so they are not
-  /// guaranteed ascending by item). Cells whose statistics changed are
-  /// marked dirty. Per-region work runs on a pool and is merged in
-  /// submission order, so the resulting state is bit-identical for any
-  /// thread count. The pool is created by the first parallel call and kept
-  /// until set_exec. When config.checkpoint_path is set, the state is saved
-  /// after each successful batch (batch-boundary durability).
+  /// guaranteed ascending by item). A batch with a malformed set (arity or
+  /// size mismatch, item out of range, a row weight that is not positive
+  /// and finite) is rejected with InvalidArgument before anything changes.
+  /// Cells whose statistics changed are marked dirty. Per-region work runs
+  /// on a pool and is merged in submission order, so the resulting state is
+  /// bit-identical for any thread count. The pool is created by the first
+  /// parallel call and kept until set_exec. When config.checkpoint_path is
+  /// set, the state is saved after each successful batch (batch-boundary
+  /// durability).
   Status ApplyDelta(std::vector<storage::RegionTrainingSet> batch);
 
   /// Phase 3: derives the cube. Re-derives the cells of dirty subsets (all

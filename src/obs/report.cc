@@ -224,6 +224,7 @@ void RunReport::AddPhase(std::string_view phase, double wall_seconds) {
 
 void RunReport::CapturePhasesFromTrace(const Trace& trace) {
   for (const TraceEvent& e : trace.Snapshot()) {
+    if (e.category == kPhaseSpanCategory) continue;
     AddPhase("span/" + e.name, static_cast<double>(e.duration_us) * 1e-6);
   }
 }

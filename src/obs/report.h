@@ -21,6 +21,12 @@ namespace bellwether::obs {
 inline constexpr std::string_view kRunReportSchema = "bellwether.run_report";
 inline constexpr int64_t kRunReportSchemaVersion = 1;
 
+/// Trace category of the span a bench program opens around a phase that it
+/// also records itself with AddPhase (the bench harness's TimePhase).
+/// CapturePhasesFromTrace skips spans of this category, so such a phase is
+/// recorded once, under its own name, and not again as "span/<name>".
+inline constexpr std::string_view kPhaseSpanCategory = "phase";
+
 /// Percentile estimate from fixed histogram buckets, Prometheus-style:
 /// the target rank `quantile * total_count` is located in the cumulative
 /// bucket counts and linearly interpolated inside the containing bucket
@@ -144,6 +150,8 @@ class RunReport {
   /// Rolls every completed span of `trace` up by name into phases keyed
   /// "span/<name>": durations sum across spans (and across threads, so a
   /// parallel phase may exceed wall time), `count` is the span count.
+  /// Spans of category kPhaseSpanCategory are skipped: their phase is
+  /// already recorded through AddPhase.
   void CapturePhasesFromTrace(const Trace& trace = DefaultTrace());
 
   /// Attaches the hot-path attribution section (see ReportProfile).

@@ -1,10 +1,157 @@
 #include "regression/linear_model.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "obs/metrics.h"
 
 namespace bellwether::regression {
+
+namespace {
+
+// Ridge ceiling of an ordinary fit; FitWithFallback's second tier raises it.
+constexpr double kDefaultMaxRidge = 1e-4;
+
+// Arities whose solve scratch lives on the stack (the arities Add unrolls).
+constexpr size_t kStackArity = 8;
+
+// Doubles SolvePacked needs for arity p — the equilibrated lower triangle,
+// its Cholesky factor, then d, rhs and y — plus p for a caller's beta.
+constexpr size_t SolveScratchSize(size_t p) { return p * (p + 1) + 4 * p; }
+
+// Scratch for one solve: on the stack up to kStackArity, else one heap
+// buffer. Both cases hand SolvePacked the same flat double array.
+class SolveScratch {
+ public:
+  explicit SolveScratch(size_t p) {
+    if (p > kStackArity) {
+      heap_.resize(SolveScratchSize(p));
+      data_ = heap_.data();
+    }
+  }
+  SolveScratch(const SolveScratch&) = delete;
+  SolveScratch& operator=(const SolveScratch&) = delete;
+
+  double* data() { return data_; }
+  // The last p doubles, which SolvePacked leaves alone.
+  double* beta(size_t p) { return data_ + SolveScratchSize(p) - p; }
+
+ private:
+  // Left uninitialized: SolvePacked writes every slot before reading it,
+  // and zeroing the array measured ~15% of a p = 3 TrainingSse.
+  double stack_[SolveScratchSize(kStackArity)];
+  std::vector<double> heap_;
+  double* data_ = stack_;
+};
+
+// Index of (i, j), j <= i, in a packed row-major lower triangle.
+inline size_t LowerIndex(size_t i, size_t j) { return i * (i + 1) / 2 + j; }
+
+// In-place Cholesky of the packed lower triangle `l` of order n; returns
+// false if a non-positive pivot is encountered.
+bool CholeskyFactor(double* l, size_t n) {
+  for (size_t j = 0; j < n; ++j) {
+    const double* lj = l + LowerIndex(j, 0);
+    double d = lj[j];
+    for (size_t k = 0; k < j; ++k) d -= lj[k] * lj[k];
+    if (!(d > 0.0) || !std::isfinite(d)) return false;
+    const double dj = std::sqrt(d);
+    l[LowerIndex(j, j)] = dj;
+    for (size_t i = j + 1; i < n; ++i) {
+      double* li = l + LowerIndex(i, 0);
+      double s = li[j];
+      for (size_t k = 0; k < j; ++k) s -= li[k] * lj[k];
+      li[j] = s / dj;
+    }
+  }
+  return true;
+}
+
+// Solves the normal equations A beta = b, with A given as its packed upper
+// triangle (RegressionSuffStats::PackedIndex layout), by Cholesky
+// factorization. If A is singular or indefinite, retries with a ridge
+// (A + lambda I) escalating up to `max_ridge`, the way statistics packages
+// fall back to a pseudo-inverse on collinear designs. Writes beta only on
+// success. `scratch` holds SolveScratchSize(n) - n doubles.
+bool SolvePacked(const double* upper, const double* b, size_t n,
+                 double max_ridge, double* scratch, double* beta) {
+  const size_t tri = n * (n + 1) / 2;
+  double* scaled = scratch;
+  double* l = scaled + tri;
+  double* d = l + tri;
+  double* rhs = d + n;
+  double* y = rhs + n;
+  // Jacobi equilibration: solve (D^-1/2 A D^-1/2) y = D^-1/2 b and map the
+  // solution back with x = D^-1/2 y. Normal-equation matrices of regression
+  // designs mix wildly different feature scales (an intercept next to a
+  // dollar amount); equilibration makes the factorization's success
+  // deterministic instead of knife-edge and keeps the ridge meaningful.
+  for (size_t i = 0; i < n; ++i) {
+    const double diag = upper[RegressionSuffStats::PackedIndex(n, i, i)];
+    d[i] = diag > 0.0 && std::isfinite(diag) ? 1.0 / std::sqrt(diag) : 1.0;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j <= i; ++j) {
+      scaled[LowerIndex(i, j)] =
+          upper[RegressionSuffStats::PackedIndex(n, j, i)] * d[i] * d[j];
+    }
+  }
+  for (size_t i = 0; i < n; ++i) rhs[i] = b[i] * d[i];
+
+  double ridge = 0.0;
+  for (int attempt = 0; attempt < 10; ++attempt) {
+    std::copy(scaled, scaled + tri, l);
+    if (ridge > 0.0) {
+      for (size_t i = 0; i < n; ++i) l[LowerIndex(i, i)] += ridge;
+    }
+    if (CholeskyFactor(l, n)) {
+      // Forward substitution L y = rhs, then back substitution L' x = y.
+      for (size_t i = 0; i < n; ++i) {
+        const double* li = l + LowerIndex(i, 0);
+        double s = rhs[i];
+        for (size_t k = 0; k < i; ++k) s -= li[k] * y[k];
+        y[i] = s / li[i];
+      }
+      for (size_t ii = n; ii-- > 0;) {
+        double s = y[ii];
+        for (size_t k = ii + 1; k < n; ++k) s -= l[LowerIndex(k, ii)] * beta[k];
+        beta[ii] = s / l[LowerIndex(ii, ii)];
+      }
+      for (size_t i = 0; i < n; ++i) beta[i] *= d[i];
+      return true;
+    }
+    // The equilibrated matrix has a unit diagonal, so the ridge is already
+    // relative to the problem scale.
+    ridge = (ridge == 0.0) ? 1e-10 : ridge * 10.0;
+    if (ridge > max_ridge) break;
+  }
+  return false;
+}
+
+Status NotPositiveDefinite() {
+  return Status::NumericError(
+      "normal equations not positive definite even with ridge");
+}
+
+}  // namespace
+
+double Dot(const double* a, const double* b, size_t n) {
+  const double* __restrict pa = a;
+  const double* __restrict pb = b;
+  // Four independent accumulators break the add-latency dependency chain and
+  // let the autovectorizer use full-width FMA lanes.
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    s0 += pa[i] * pb[i];
+    s1 += pa[i + 1] * pb[i + 1];
+    s2 += pa[i + 2] * pb[i + 2];
+    s3 += pa[i + 3] * pb[i + 3];
+  }
+  double acc = (s0 + s1) + (s2 + s3);
+  for (; i < n; ++i) acc += pa[i] * pb[i];
+  return acc;
+}
 
 const char* FitDegradationName(FitDegradation d) {
   switch (d) {
@@ -82,24 +229,16 @@ void RegressionSuffStats::AddDataset(const Dataset& data) {
   AddBatch(data.x_data(), data.y_data(), data.w_data(), data.num_examples());
 }
 
-linalg::Matrix RegressionSuffStats::xtwx() const {
-  linalg::Matrix full(p_, p_);
-  size_t idx = 0;
-  for (size_t r = 0; r < p_; ++r) {
-    for (size_t c = r; c < p_; ++c) {
-      const double v = xtwx_packed_[idx++];
-      full(r, c) = v;
-      full(c, r) = v;
-    }
-  }
-  return full;
-}
-
 Result<LinearModel> RegressionSuffStats::Fit() const {
   if (n_ == 0) {
     return Status::FailedPrecondition("cannot fit a model on 0 examples");
   }
-  BW_ASSIGN_OR_RETURN(linalg::Vector beta, linalg::SolveSpd(xtwx(), xtwy_));
+  SolveScratch scratch(p_);
+  std::vector<double> beta(p_);
+  if (!SolvePacked(xtwx_packed_.data(), xtwy_.data(), p_, kDefaultMaxRidge,
+                   scratch.data(), beta.data())) {
+    return NotPositiveDefinite();
+  }
   return LinearModel(std::move(beta));
 }
 
@@ -108,25 +247,26 @@ Result<RobustFit> RegressionSuffStats::FitWithFallback(
   if (n_ == 0) {
     return Status::FailedPrecondition("cannot fit a model on 0 examples");
   }
-  const linalg::Matrix full = xtwx();
-  if (auto fit = linalg::SolveSpd(full, xtwy_); fit.ok()) {
-    return RobustFit{LinearModel(std::move(fit.value())),
-                     FitDegradation::kNone};
+  SolveScratch scratch(p_);
+  std::vector<double> beta(p_);
+  if (SolvePacked(xtwx_packed_.data(), xtwy_.data(), p_, kDefaultMaxRidge,
+                  scratch.data(), beta.data())) {
+    return RobustFit{LinearModel(std::move(beta)), FitDegradation::kNone};
   }
-  if (auto fit = linalg::SolveSpd(full, xtwy_, heavy_ridge); fit.ok()) {
+  if (SolvePacked(xtwx_packed_.data(), xtwy_.data(), p_, heavy_ridge,
+                  scratch.data(), beta.data())) {
     bool finite = true;
-    for (double b : fit.value()) finite = finite && std::isfinite(b);
+    for (double b : beta) finite = finite && std::isfinite(b);
     if (finite) {
       obs::DefaultMetrics()
           .GetCounter(obs::kMRegressionRidgeRefits)
           ->Increment();
-      return RobustFit{LinearModel(std::move(fit.value())),
-                       FitDegradation::kRidge};
+      return RobustFit{LinearModel(std::move(beta)), FitDegradation::kRidge};
     }
   }
   // Last resort: predict the weighted mean of the targets. Feature 0 is the
   // intercept column (constant 1), so X'WY[0] / sum(w) is that mean.
-  linalg::Vector beta(p_, 0.0);
+  beta.assign(p_, 0.0);
   const double mean = sum_w_ > 0.0 ? xtwy_[0] / sum_w_ : 0.0;
   beta[0] = std::isfinite(mean) ? mean : 0.0;
   obs::DefaultMetrics()
@@ -136,28 +276,9 @@ Result<RobustFit> RegressionSuffStats::FitWithFallback(
                    FitDegradation::kMeanFallback};
 }
 
-RegressionSuffStats RegressionSuffStats::FromComponents(linalg::Matrix xtwx,
-                                                        linalg::Vector xtwy,
-                                                        double ytwy, int64_t n,
-                                                        double sum_w) {
-  BW_CHECK(xtwx.rows() == xtwx.cols());
-  BW_CHECK(xtwx.rows() == xtwy.size());
-  const size_t p = xtwy.size();
-  RegressionSuffStats out(p);
-  size_t idx = 0;
-  for (size_t r = 0; r < p; ++r) {
-    for (size_t c = r; c < p; ++c) out.xtwx_packed_[idx++] = xtwx(r, c);
-  }
-  out.xtwy_ = std::move(xtwy);
-  out.ytwy_ = ytwy;
-  out.n_ = n;
-  out.sum_w_ = sum_w;
-  return out;
-}
-
 RegressionSuffStats RegressionSuffStats::FromPacked(size_t p,
                                                     std::vector<double> packed,
-                                                    linalg::Vector xtwy,
+                                                    std::vector<double> xtwy,
                                                     double ytwy, int64_t n,
                                                     double sum_w) {
   BW_CHECK(packed.size() == PackedSize(p));
@@ -175,9 +296,16 @@ Result<double> RegressionSuffStats::TrainingSse() const {
   if (n_ == 0) {
     return Status::FailedPrecondition("SSE of an empty training set");
   }
-  BW_ASSIGN_OR_RETURN(linalg::Vector beta, linalg::SolveSpd(xtwx(), xtwy_));
+  // beta lives in the scratch tail, so this path allocates nothing at
+  // p <= kStackArity.
+  SolveScratch scratch(p_);
+  double* beta = scratch.beta(p_);
+  if (!SolvePacked(xtwx_packed_.data(), xtwy_.data(), p_, kDefaultMaxRidge,
+                   scratch.data(), beta)) {
+    return NotPositiveDefinite();
+  }
   // Y'WY - (X'WY)' beta, with beta = (X'WX)^-1 (X'WY).
-  const double sse = ytwy_ - linalg::Dot(xtwy_, beta);
+  const double sse = ytwy_ - Dot(xtwy_.data(), beta, p_);
   // Guard tiny negative values from floating-point cancellation.
   return sse < 0.0 ? 0.0 : sse;
 }

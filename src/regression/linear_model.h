@@ -4,10 +4,14 @@
 #include <vector>
 
 #include "common/status.h"
-#include "linalg/matrix.h"
 #include "regression/dataset.h"
 
 namespace bellwether::regression {
+
+/// Dot product over raw arrays (four independent accumulators, so the
+/// autovectorizer can use full-width lanes). The serving hot path
+/// (LinearModel::Predict) and the training SSE share this one kernel.
+double Dot(const double* a, const double* b, size_t n);
 
 /// A fitted (weighted) least-squares linear model: y_hat = sum_j x_j beta_j.
 /// The intercept, when wanted, is feature 0 with constant value 1 (the
@@ -15,16 +19,14 @@ namespace bellwether::regression {
 class LinearModel {
  public:
   LinearModel() = default;
-  explicit LinearModel(linalg::Vector beta) : beta_(std::move(beta)) {}
+  explicit LinearModel(std::vector<double> beta) : beta_(std::move(beta)) {}
 
-  const linalg::Vector& beta() const { return beta_; }
+  const std::vector<double>& beta() const { return beta_; }
   size_t num_features() const { return beta_.size(); }
 
   /// Prediction for one feature row (x must have num_features() entries).
-  /// Delegates to linalg::Dot so the serving hot path shares the one
-  /// optimized dot-product kernel.
   double Predict(const double* x) const {
-    return linalg::Dot(x, beta_.data(), beta_.size());
+    return Dot(x, beta_.data(), beta_.size());
   }
   double Predict(const std::vector<double>& x) const {
     BW_DCHECK(x.size() == beta_.size());
@@ -32,7 +34,7 @@ class LinearModel {
   }
 
  private:
-  linalg::Vector beta_;
+  std::vector<double> beta_;
 };
 
 /// Which tier of the graceful-degradation chain produced a model (see
@@ -62,10 +64,11 @@ struct RobustFit {
 /// X'WX is symmetric, so it is stored in *packed* upper-triangular layout
 /// (row-major, row r holding columns r..p-1): half the arithmetic and half
 /// the memory traffic of the naive p x p rank-1 update, and Merge collapses
-/// to one flat sum over a contiguous array. Checkpoint/model I/O serialize
-/// the packed triangle directly (regression/suff_stats_io.h) and restore
-/// through FromPacked(); only the linalg solvers still go through the
-/// xtwx() unpack shim.
+/// to one flat sum over a contiguous array. The packed triangle is the only
+/// representation: model I/O serializes it directly
+/// (regression/suff_stats_io.h) and restores it through FromPacked(), and
+/// Fit()/TrainingSse() solve the normal equations on it in place, with
+/// stack scratch up to arity 8.
 class RegressionSuffStats {
  public:
   RegressionSuffStats() : p_(0), ytwy_(0.0), n_(0), sum_w_(0.0) {}
@@ -120,24 +123,17 @@ class RegressionSuffStats {
   /// On a well-conditioned statistic the result is bit-identical to Fit().
   Result<RobustFit> FitWithFallback(double heavy_ridge = 1e2) const;
 
-  /// Reassembles a statistic from its components (checkpoint restore and
-  /// tests). `xtwx` must be p x p, `xtwy` length p. Only the upper triangle
-  /// of `xtwx` is read (the statistic is symmetric by construction).
-  static RegressionSuffStats FromComponents(linalg::Matrix xtwx,
-                                            linalg::Vector xtwy, double ytwy,
-                                            int64_t n, double sum_w);
-
-  /// Reassembles a statistic directly from its packed upper triangle
-  /// (PackedSize(p) values, row-major) without materializing the full
-  /// matrix — the restore path of the packed wire format
+  /// Reassembles a statistic from its packed upper triangle (PackedSize(p)
+  /// values, row-major) — the restore path of the packed wire format
   /// (regression/suff_stats_io.h).
   static RegressionSuffStats FromPacked(size_t p, std::vector<double> packed,
-                                        linalg::Vector xtwy, double ytwy,
+                                        std::vector<double> xtwy, double ytwy,
                                         int64_t n, double sum_w);
 
   /// Weighted sum of squared errors of the fitted model on the accumulated
   /// data: Y'WY - (X'WY)' (X'WX)^-1 (X'WY), computed directly from the
-  /// statistic without revisiting examples (Theorem 1).
+  /// statistic without revisiting examples (Theorem 1). Makes no heap
+  /// allocation up to arity 8.
   Result<double> TrainingSse() const;
 
   /// Training-set weighted mean squared error: SSE / (n - p), the
@@ -148,19 +144,16 @@ class RegressionSuffStats {
   /// sqrt(TrainingMse()).
   Result<double> TrainingRmse() const;
 
-  /// Full p x p X'WX, unpacked from the packed triangle (the shim that
-  /// keeps checkpoint/model artifact formats and the linalg solvers
-  /// unchanged). Returns by value — unpack once, not per element.
-  linalg::Matrix xtwx() const;
-  /// The packed upper triangle itself (row-major, PackedSize(p) values).
+  /// X'WX as its packed upper triangle (row-major, PackedSize(p) values;
+  /// entry (r, c), r <= c, at PackedIndex(p, r, c)).
   const std::vector<double>& packed_xtwx() const { return xtwx_packed_; }
-  const linalg::Vector& xtwy() const { return xtwy_; }
+  const std::vector<double>& xtwy() const { return xtwy_; }
   double ytwy() const { return ytwy_; }
 
  private:
   size_t p_;
   std::vector<double> xtwx_packed_;  // X'WX upper triangle, p*(p+1)/2
-  linalg::Vector xtwy_;              // X'WY, p
+  std::vector<double> xtwy_;         // X'WY, p
   double ytwy_;                      // Y'WY
   int64_t n_;
   double sum_w_;

@@ -7,6 +7,7 @@
 #include <ostream>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace bellwether::regression {
 
@@ -79,7 +80,7 @@ Result<RegressionSuffStats> ReadSuffStats(std::istream& in) {
   for (double& v : packed) {
     BW_RETURN_IF_ERROR(ReadWireDouble(in, &v));
   }
-  linalg::Vector xtwy(arity, 0.0);
+  std::vector<double> xtwy(arity, 0.0);
   for (size_t j = 0; j < arity; ++j) {
     BW_RETURN_IF_ERROR(ReadWireDouble(in, &xtwy[j]));
   }

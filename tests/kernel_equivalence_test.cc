@@ -9,7 +9,9 @@
 //    equality.
 //  * Merge and the flat NumericAgg MergeSlice run: pure same-order
 //    additions, compared exactly.
-//  * FromComponents / xtwx() unpack-pack round trips: exact.
+//  * The packed in-place normal-equation solve vs the dense Cholesky it
+//    replaced (RefSolveSpd): same operations in the same order, compared
+//    bit for bit, including the ridge and mean-fallback tiers.
 //
 // Determinism of *one binary* across thread counts and checkpoint resume is
 // covered by parallel_determinism_test and robust_test; these tests pin the
@@ -21,8 +23,10 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/status.h"
 #include "datagen/hierarchy_util.h"
-#include "linalg/matrix.h"
+#include "obs/heap_track.h"
+#include "obs/trace.h"
 #include "olap/cube.h"
 #include "olap/region.h"
 #include "regression/linear_model.h"
@@ -44,15 +48,15 @@ void ExpectClose(double a, double b, const char* what) {
 }
 
 // Reference accumulator: the pre-packing implementation — full p x p
-// matrix, scalar rank-1 updates.
+// row-major matrix, scalar rank-1 updates.
 struct RefSuffStats {
   explicit RefSuffStats(size_t p)
-      : p(p), xtwx(p, p), xtwy(p, 0.0), ytwy(0.0), n(0), sum_w(0.0) {}
+      : p(p), xtwx(p * p, 0.0), xtwy(p, 0.0), ytwy(0.0), n(0), sum_w(0.0) {}
 
   void Add(const double* x, double y, double w) {
     for (size_t r = 0; r < p; ++r) {
       const double wr = w * x[r];
-      for (size_t c = 0; c < p; ++c) xtwx(r, c) += wr * x[c];
+      for (size_t c = 0; c < p; ++c) xtwx[r * p + c] += wr * x[c];
       xtwy[r] += wr * y;
     }
     ytwy += w * y * y;
@@ -61,7 +65,7 @@ struct RefSuffStats {
   }
 
   void Merge(const RefSuffStats& o) {
-    xtwx += o.xtwx;
+    for (size_t i = 0; i < p * p; ++i) xtwx[i] += o.xtwx[i];
     for (size_t j = 0; j < p; ++j) xtwy[j] += o.xtwy[j];
     ytwy += o.ytwy;
     n += o.n;
@@ -69,12 +73,98 @@ struct RefSuffStats {
   }
 
   size_t p;
-  linalg::Matrix xtwx;
-  linalg::Vector xtwy;
+  std::vector<double> xtwx;  // p x p, row-major
+  std::vector<double> xtwy;
   double ytwy;
   int64_t n;
   double sum_w;
 };
+
+// X'WX of `s` as a full p x p row-major matrix, mirrored from the packed
+// upper triangle.
+std::vector<double> Unpack(const RegressionSuffStats& s) {
+  const size_t p = s.num_features();
+  std::vector<double> full(p * p);
+  for (size_t r = 0; r < p; ++r) {
+    for (size_t c = r; c < p; ++c) {
+      const double v =
+          s.packed_xtwx()[RegressionSuffStats::PackedIndex(p, r, c)];
+      full[r * p + c] = v;
+      full[c * p + r] = v;
+    }
+  }
+  return full;
+}
+
+// Reference solver: the dense Jacobi-equilibrated Cholesky with ridge
+// escalation that the packed in-place solve replaced, on a row-major
+// n x n matrix. Kept verbatim in its operation order so the packed solve
+// can be pinned to it bit for bit.
+Result<std::vector<double>> RefSolveSpd(const std::vector<double>& a,
+                                        const std::vector<double>& b,
+                                        double max_ridge = 1e-4) {
+  const size_t n = b.size();
+  if (n == 0) return std::vector<double>{};
+  auto at = [n](std::vector<double>& m, size_t r, size_t c) -> double& {
+    return m[r * n + c];
+  };
+  std::vector<double> d(n, 1.0);
+  for (size_t i = 0; i < n; ++i) {
+    const double diag = a[i * n + i];
+    d[i] = diag > 0.0 && std::isfinite(diag) ? 1.0 / std::sqrt(diag) : 1.0;
+  }
+  std::vector<double> scaled(n * n);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < n; ++c) {
+      at(scaled, r, c) = a[r * n + c] * d[r] * d[c];
+    }
+  }
+  std::vector<double> rhs(n);
+  for (size_t i = 0; i < n; ++i) rhs[i] = b[i] * d[i];
+
+  double ridge = 0.0;
+  for (int attempt = 0; attempt < 10; ++attempt) {
+    std::vector<double> l = scaled;
+    if (ridge > 0.0) {
+      for (size_t i = 0; i < n; ++i) at(l, i, i) += ridge;
+    }
+    bool factored = true;
+    for (size_t j = 0; j < n && factored; ++j) {
+      double dd = at(l, j, j);
+      for (size_t k = 0; k < j; ++k) dd -= at(l, j, k) * at(l, j, k);
+      if (!(dd > 0.0) || !std::isfinite(dd)) {
+        factored = false;
+        break;
+      }
+      const double dj = std::sqrt(dd);
+      at(l, j, j) = dj;
+      for (size_t i = j + 1; i < n; ++i) {
+        double s = at(l, i, j);
+        for (size_t k = 0; k < j; ++k) s -= at(l, i, k) * at(l, j, k);
+        at(l, i, j) = s / dj;
+      }
+    }
+    if (factored) {
+      std::vector<double> y(n);
+      for (size_t i = 0; i < n; ++i) {
+        double s = rhs[i];
+        for (size_t k = 0; k < i; ++k) s -= at(l, i, k) * y[k];
+        y[i] = s / at(l, i, i);
+      }
+      std::vector<double> x(n);
+      for (size_t ii = n; ii-- > 0;) {
+        double s = y[ii];
+        for (size_t k = ii + 1; k < n; ++k) s -= at(l, k, ii) * x[k];
+        x[ii] = s / at(l, ii, ii);
+      }
+      for (size_t i = 0; i < n; ++i) x[i] *= d[i];
+      return x;
+    }
+    ridge = (ridge == 0.0) ? 1e-10 : ridge * 10.0;
+    if (ridge > max_ridge) break;
+  }
+  return Status::NumericError("RefSolveSpd: not positive definite");
+}
 
 std::vector<double> RandomRows(Rng& rng, size_t n, size_t p) {
   std::vector<double> rows(n * p);
@@ -92,15 +182,15 @@ void CompareToRef(const RegressionSuffStats& s, const RefSuffStats& ref) {
   EXPECT_EQ(s.num_examples(), ref.n);
   ExpectClose(s.sum_weights(), ref.sum_w, "sum_w");
   ExpectClose(s.ytwy(), ref.ytwy, "ytwy");
-  const linalg::Matrix full = s.xtwx();
-  for (size_t r = 0; r < ref.p; ++r) {
+  const size_t p = ref.p;
+  for (size_t r = 0; r < p; ++r) {
     ExpectClose(s.xtwy()[r], ref.xtwy[r], "xtwy");
     // The packed kernel computes the upper triangle; the reference fills
     // both halves with (potentially ulp-asymmetric) products. Compare
     // against the upper-triangle entry.
-    for (size_t c = r; c < ref.p; ++c) {
-      ExpectClose(full(r, c), ref.xtwx(r, c), "xtwx");
-      EXPECT_EQ(full(r, c), full(c, r)) << "unpack must be symmetric";
+    for (size_t c = r; c < p; ++c) {
+      ExpectClose(s.packed_xtwx()[RegressionSuffStats::PackedIndex(p, r, c)],
+                  ref.xtwx[r * p + c], "xtwx");
     }
   }
 }
@@ -193,45 +283,165 @@ TEST_P(SuffStatsEquivalenceTest, MergeIsExactFlatSum) {
   CompareToRef(a, ra);
 }
 
-TEST_P(SuffStatsEquivalenceTest, FromComponentsRoundTripsExactly) {
-  const size_t p = GetParam();
-  Rng rng(400 + p);
-  const size_t n = 50;
-  const auto rows = RandomRows(rng, n, p);
-  RegressionSuffStats s(p);
-  for (size_t i = 0; i < n; ++i) {
-    s.Add(rows.data() + i * p, rng.NextDouble(), rng.NextDouble(0.5, 1.5));
-  }
-  const RegressionSuffStats back = RegressionSuffStats::FromComponents(
-      s.xtwx(), s.xtwy(), s.ytwy(), s.num_examples(), s.sum_weights());
-  EXPECT_EQ(back.packed_xtwx(), s.packed_xtwx());
-  EXPECT_EQ(back.xtwy(), s.xtwy());
-  EXPECT_EQ(back.ytwy(), s.ytwy());
-  EXPECT_EQ(back.num_examples(), s.num_examples());
-  EXPECT_EQ(back.sum_weights(), s.sum_weights());
-}
-
 TEST_P(SuffStatsEquivalenceTest, PackedIndexMatchesUnpackedLayout) {
   const size_t p = GetParam();
   Rng rng(500 + p);
   RegressionSuffStats s(p);
+  RefSuffStats ref(p);
   std::vector<double> x(p);
   for (int i = 0; i < 20; ++i) {
     for (auto& v : x) v = rng.NextDouble(-3, 3);
-    s.Add(x.data(), rng.NextDouble());
+    const double y = rng.NextDouble();
+    s.Add(x.data(), y);
+    ref.Add(x.data(), y, 1.0);
   }
-  const linalg::Matrix full = s.xtwx();
+  // PackedIndex walks the packed array in storage order (row r holds
+  // columns r..p-1, back to back) and lands on the entry the full
+  // row-major matrix keeps at (r, c).
   ASSERT_EQ(s.packed_xtwx().size(), RegressionSuffStats::PackedSize(p));
+  size_t next = 0;
   for (size_t r = 0; r < p; ++r) {
     for (size_t c = r; c < p; ++c) {
-      EXPECT_EQ(s.packed_xtwx()[RegressionSuffStats::PackedIndex(p, r, c)],
-                full(r, c));
+      const size_t idx = RegressionSuffStats::PackedIndex(p, r, c);
+      EXPECT_EQ(idx, next++);
+      ExpectClose(s.packed_xtwx()[idx], ref.xtwx[r * p + c], "xtwx");
     }
   }
 }
 
+// Statistics that drive every tier of the solve: well-conditioned random
+// designs, a duplicated column (singular: the solver's internal ridge
+// escalation), and the duplicated column with its packed cross term pushed
+// past the diagonals (indefinite: FitWithFallback's heavy-ridge refit, or
+// the weighted-mean model when even that fails).
+RegressionSuffStats SolveTrialStats(size_t p, int trial, Rng& rng) {
+  const size_t n = 40 + 8 * p;
+  auto rows = RandomRows(rng, n, p);
+  const int kind = trial % 4;
+  // Column `dup` copies column `src` (p >= 2).
+  const size_t dup = p - 1;
+  const size_t src = p >= 3 ? 1 : 0;
+  if (kind >= 1 && p >= 2) {
+    for (size_t i = 0; i < n; ++i) rows[i * p + dup] = rows[i * p + src];
+  }
+  RegressionSuffStats s(p);
+  for (size_t i = 0; i < n; ++i) {
+    s.Add(rows.data() + i * p, rng.NextDouble(-5, 5), rng.NextDouble(0.1, 2));
+  }
+  if (kind < 2) return s;
+  std::vector<double> packed = s.packed_xtwx();
+  if (p == 1) {
+    packed[0] = -packed[0];
+  } else {
+    // Scale the src/dup cross term: a little past the diagonals (kind 2)
+    // or far past them (kind 3).
+    const double factor = kind == 2 ? 1.0 + 1e-3 * (1 + trial / 4) : 3.0;
+    packed[RegressionSuffStats::PackedIndex(p, src, dup)] *= factor;
+  }
+  return RegressionSuffStats::FromPacked(p, std::move(packed), s.xtwy(),
+                                         s.ytwy(), s.num_examples(),
+                                         s.sum_weights());
+}
+
+TEST_P(SuffStatsEquivalenceTest, PackedSolveMatchesDenseReferenceBitForBit) {
+  const size_t p = GetParam();
+  Rng rng(600 + p);
+  int tiers[3] = {0, 0, 0};
+  for (int trial = 0; trial < 16; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const RegressionSuffStats s = SolveTrialStats(p, trial, rng);
+    const std::vector<double> full = Unpack(s);
+
+    // Fit() and TrainingSse() against the ordinary-ridge reference.
+    auto ref = RefSolveSpd(full, s.xtwy());
+    auto fit = s.Fit();
+    auto sse = s.TrainingSse();
+    ASSERT_EQ(fit.ok(), ref.ok());
+    ASSERT_EQ(sse.ok(), ref.ok());
+    if (ref.ok()) {
+      EXPECT_EQ(fit->beta(), *ref);
+      const double want = s.ytwy() - regression::Dot(s.xtwy().data(),
+                                                     ref->data(), p);
+      EXPECT_EQ(*sse, want < 0.0 ? 0.0 : want);
+    }
+
+    // FitWithFallback(): the reference degradation chain.
+    auto robust = s.FitWithFallback();
+    ASSERT_TRUE(robust.ok());
+    regression::FitDegradation want_tier =
+        regression::FitDegradation::kMeanFallback;
+    std::vector<double> want_beta;
+    if (ref.ok()) {
+      want_tier = regression::FitDegradation::kNone;
+      want_beta = *ref;
+    } else if (auto heavy = RefSolveSpd(full, s.xtwy(), 1e2); heavy.ok()) {
+      bool finite = true;
+      for (double b : *heavy) finite = finite && std::isfinite(b);
+      if (finite) {
+        want_tier = regression::FitDegradation::kRidge;
+        want_beta = *heavy;
+      }
+    }
+    if (want_tier == regression::FitDegradation::kMeanFallback) {
+      want_beta.assign(p, 0.0);
+      const double mean =
+          s.sum_weights() > 0.0 ? s.xtwy()[0] / s.sum_weights() : 0.0;
+      want_beta[0] = std::isfinite(mean) ? mean : 0.0;
+    }
+    EXPECT_EQ(robust->degradation, want_tier);
+    EXPECT_EQ(robust->model.beta(), want_beta);
+    ++tiers[static_cast<int>(want_tier)];
+  }
+  // Every tier of the chain ran (p = 1 has no cross term to perturb, so
+  // only its ordinary and mean-fallback tiers do).
+  EXPECT_GT(tiers[0], 0);
+  if (p >= 2) {
+    EXPECT_GT(tiers[1], 0);
+  }
+  EXPECT_GT(tiers[2], 0);
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, SuffStatsEquivalenceTest,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 9, 13, 24));
+
+// TrainingSse keeps its solve scratch and beta on the stack up to arity 8,
+// so the per-cell error of the cube and tree builders costs no allocation.
+TEST(SuffStatsAllocationTest, TrainingSseAllocatesNothingUpToArity8) {
+  if (!obs::HeapTracker::interposed()) {
+    GTEST_SKIP() << "sanitizer build: allocator interposition compiled out";
+  }
+  // A disabled trace: the span only labels allocations and records nothing
+  // itself.
+  obs::Trace quiet;
+  quiet.set_enabled(false);
+  Rng rng(700);
+  for (size_t p = 1; p <= 8; ++p) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    RegressionSuffStats s(p);
+    const auto rows = RandomRows(rng, 30, p);
+    for (size_t i = 0; i < 30; ++i) {
+      s.Add(rows.data() + i * p, rng.NextDouble());
+    }
+    obs::HeapTracker::Enable();
+    double sse = 0.0;
+    bool ok = true;
+    {
+      obs::TraceSpan span("sse-alloc", "test", &quiet);
+      for (int call = 0; call < 4; ++call) {
+        auto r = s.TrainingSse();
+        ok = ok && r.ok();
+        if (r.ok()) sse += *r;
+      }
+    }
+    const auto snapshot = obs::HeapTracker::Snapshot();
+    obs::HeapTracker::Disable();
+    ASSERT_TRUE(ok);
+    EXPECT_GE(sse, 0.0);
+    auto it = snapshot.find("sse-alloc");
+    const int64_t calls = it == snapshot.end() ? 0 : it->second.alloc_calls;
+    EXPECT_EQ(calls, 0);
+  }
+}
 
 // ---- Flat CUBE rollup ----
 

@@ -332,6 +332,32 @@ TEST_F(StateFileTest, TruncationFailsCleanlyAtEveryBoundary) {
   }
 }
 
+TEST_F(StateFileTest, NonPositiveWeightIsIoError) {
+  // A weighted state: every retained row carries an explicit weight.
+  BellwetherState::Options options;
+  options.config.min_subset_size = 20;
+  options.config.min_examples_per_model = 8;
+  auto weighted = BellwetherState::Init(subsets_, options);
+  ASSERT_TRUE(weighted.ok());
+  std::vector<storage::RegionTrainingSet> sets = sim_.sets;
+  for (auto& set : sets) set.weights.assign(set.num_examples(), 1.5);
+  ASSERT_TRUE((*weighted)->ApplyDelta(std::move(sets)).ok());
+  ASSERT_TRUE((*weighted)->Save(path_).ok());
+  ASSERT_TRUE(LoadBellwetherState(path_, subsets_).ok());
+
+  std::string content = ReadAll(path_);
+  const size_t tag = content.find("\nweights ");
+  ASSERT_NE(tag, std::string::npos);
+  const size_t begin = tag + std::string("\nweights ").size();
+  const size_t end = content.find_first_of(" \n", begin);
+  ASSERT_NE(end, std::string::npos);
+  content.replace(begin, end - begin, "0");
+  WriteAll(path_, content);
+  auto r = LoadBellwetherState(path_, subsets_);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+}
+
 TEST_F(StateFileTest, ByteFlipsNeverCrashTheLoader) {
   const std::string content = ReadAll(path_);
   for (size_t pos = 0; pos < content.size();

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/random.h"
 #include "regression/dataset.h"
@@ -111,7 +112,20 @@ TEST_P(SuffStatsMergeTest, MergeEqualsMonolithic) {
 
   EXPECT_EQ(merged.num_examples(), whole.num_examples());
   EXPECT_NEAR(merged.ytwy(), whole.ytwy(), 1e-7);
-  EXPECT_LT(merged.xtwx().DistanceTo(whole.xtwx()), 1e-7);
+  const std::vector<double>& got = merged.packed_xtwx();
+  const std::vector<double>& want = whole.packed_xtwx();
+  ASSERT_EQ(got.size(), want.size());
+  // Frobenius distance of the full matrices: an off-diagonal packed entry
+  // stands for two cells.
+  double dist2 = 0.0;
+  for (size_t r = 0; r < p; ++r) {
+    for (size_t c = r; c < p; ++c) {
+      const size_t idx = RegressionSuffStats::PackedIndex(p, r, c);
+      const double d = got[idx] - want[idx];
+      dist2 += (r == c ? 1.0 : 2.0) * d * d;
+    }
+  }
+  EXPECT_LT(std::sqrt(dist2), 1e-7);
   ASSERT_TRUE(whole.TrainingSse().ok());
   ASSERT_TRUE(merged.TrainingSse().ok());
   EXPECT_NEAR(*merged.TrainingSse(), *whole.TrainingSse(),
@@ -162,6 +176,90 @@ TEST(SuffStatsTest, ResetClears) {
   EXPECT_TRUE(stats.empty());
   EXPECT_EQ(stats.num_features(), 2u);
 }
+
+// ---- The normal-equation solve, driven through FromPacked + Fit() ----
+
+// A statistic whose X'WX is `upper` (packed upper triangle) and X'WY `b`.
+RegressionSuffStats StatsFor(size_t p, std::vector<double> upper,
+                             std::vector<double> b) {
+  return RegressionSuffStats::FromPacked(p, std::move(upper), std::move(b),
+                                         /*ytwy=*/0.0, /*n=*/1,
+                                         /*sum_w=*/1.0);
+}
+
+// A x for the symmetric matrix stored as packed upper triangle `upper`.
+std::vector<double> MultiplyPacked(size_t p, const std::vector<double>& upper,
+                                   const std::vector<double>& x) {
+  std::vector<double> out(p, 0.0);
+  for (size_t r = 0; r < p; ++r) {
+    for (size_t c = 0; c < p; ++c) {
+      const size_t idx = r <= c ? RegressionSuffStats::PackedIndex(p, r, c)
+                                : RegressionSuffStats::PackedIndex(p, c, r);
+      out[r] += upper[idx] * x[c];
+    }
+  }
+  return out;
+}
+
+TEST(MatrixTest, Dot) {
+  const double a[] = {1, 2, 3};
+  const double b[] = {4, 5, 6};
+  EXPECT_DOUBLE_EQ(Dot(a, b, 3), 32.0);
+  // Past one four-wide block: the accumulators and the tail both count.
+  const double c[] = {1, 2, 3, 4, 5, 6, 7};
+  const double ones[] = {1, 1, 1, 1, 1, 1, 1};
+  EXPECT_DOUBLE_EQ(Dot(c, ones, 7), 28.0);
+}
+
+TEST(SolveTest, SolveSpdKnownSystem) {
+  // A = [[4,2],[2,3]], b = [10, 8] -> x = [1.75, 1.5].
+  auto x = StatsFor(2, {4, 2, 3}, {10, 8}).Fit();
+  ASSERT_TRUE(x.ok());
+  EXPECT_NEAR(x->beta()[0], 1.75, 1e-12);
+  EXPECT_NEAR(x->beta()[1], 1.5, 1e-12);
+}
+
+TEST(SolveTest, SolveSpdRidgeFallbackOnSingular) {
+  // Rank-deficient PSD matrix: the ridge fallback should still produce a
+  // finite solution with a small residual on the range of A.
+  const std::vector<double> upper = {1, 1, 1};
+  auto x = StatsFor(2, upper, {2, 2}).Fit();
+  ASSERT_TRUE(x.ok());
+  const std::vector<double> r = MultiplyPacked(2, upper, x->beta());
+  EXPECT_NEAR(r[0], 2.0, 1e-3);
+  EXPECT_NEAR(r[1], 2.0, 1e-3);
+}
+
+// Property: the solve handles random SPD systems (A = B'B + I) to high
+// accuracy, across sizes — on and off the stack-scratch arities.
+class SolveSpdPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SolveSpdPropertyTest, RandomSpdSystemsSolve) {
+  const size_t n = static_cast<size_t>(GetParam());
+  Rng rng(1000 + n);
+  for (int trial = 0; trial < 10; ++trial) {
+    std::vector<double> b(n * n);
+    for (double& v : b) v = rng.NextGaussian();
+    std::vector<double> upper(RegressionSuffStats::PackedSize(n));
+    for (size_t r = 0; r < n; ++r) {
+      for (size_t c = r; c < n; ++c) {
+        double acc = 0.0;
+        for (size_t k = 0; k < n; ++k) acc += b[k * n + r] * b[k * n + c];
+        if (r == c) acc += 1.0;
+        upper[RegressionSuffStats::PackedIndex(n, r, c)] = acc;
+      }
+    }
+    std::vector<double> rhs(n);
+    for (double& v : rhs) v = rng.NextGaussian();
+    auto x = StatsFor(n, upper, rhs).Fit();
+    ASSERT_TRUE(x.ok());
+    const std::vector<double> back = MultiplyPacked(n, upper, x->beta());
+    for (size_t i = 0; i < n; ++i) EXPECT_NEAR(back[i], rhs[i], 1e-8);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, SolveSpdPropertyTest,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21));
 
 TEST(ErrorTest, NormalQuantiles) {
   EXPECT_NEAR(NormalQuantileTwoSided(0.95), 1.959964, 1e-4);

@@ -15,6 +15,7 @@
 #include "datagen/simulation.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
+#include "obs/trace.h"
 #include "storage/training_data.h"
 #include "test_util.h"
 
@@ -179,6 +180,26 @@ TEST(RunReportTest, FromJsonRejectsWrongSchemaOrVersion) {
   ASSERT_NE(pos, std::string::npos);
   json.replace(pos, 10, "otherthing");
   EXPECT_FALSE(RunReport::FromJson(json).ok());
+}
+
+TEST(RunReportTest, TimedPhaseSpansAreNotRecordedTwice) {
+  // A bench-timed phase (AddPhase plus a kPhaseSpanCategory span), a
+  // bench span without its own AddPhase, and a library span.
+  Trace trace;
+  RunReport r{"phases"};
+  {
+    TraceSpan phase("evaluate", kPhaseSpanCategory, &trace);
+    { TraceSpan sweep("budget_sweep", "bench", &trace); }
+    { TraceSpan lib("RainForestLevelScan", "bellwether", &trace); }
+  }
+  r.AddPhase("evaluate", 0.5);
+  r.CapturePhasesFromTrace(trace);
+  EXPECT_EQ(r.phases().count("evaluate"), 1u);
+  EXPECT_EQ(r.phases().at("evaluate").count, 1);
+  EXPECT_EQ(r.phases().count("span/evaluate"), 0u);
+  EXPECT_EQ(r.phases().count("span/budget_sweep"), 1u);
+  EXPECT_EQ(r.phases().count("span/RainForestLevelScan"), 1u);
+  EXPECT_EQ(r.phases().size(), 3u);
 }
 
 TEST(RunReportTest, ConfigFingerprintIgnoresInsertionOrder) {

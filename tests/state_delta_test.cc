@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -492,6 +493,34 @@ TEST(StateDeltaTest, RejectsOutOfOrderBatchesAndSkipsEmptySets) {
   ASSERT_TRUE((*state)->ApplyDelta({empty}).ok());
   EXPECT_EQ((*state)->num_regions(), 0);
   EXPECT_EQ((*state)->dirty_cells(), 0);
+}
+
+TEST(StateDeltaTest, RejectsNonPositiveOrNonFiniteWeights) {
+  datagen::SimulationDataset sim = MakeSim(76);
+  auto subsets = ItemSubsetSpace::Create(sim.items, sim.item_hierarchies);
+  ASSERT_TRUE(subsets.ok());
+  auto state = NewState(*subsets, MakeConfig());
+  ASSERT_TRUE(state.ok());
+  ASSERT_GE(sim.sets.size(), 2u);
+  ASSERT_TRUE((*state)->ApplyDelta({sim.sets[0]}).ok());
+  const int64_t batches = (*state)->delta_batches();
+  const int64_t dirty = (*state)->dirty_cells();
+  ASSERT_GT(dirty, 0);
+
+  const storage::RegionTrainingSet& base = sim.sets[1];
+  ASSERT_GT(base.num_examples(), 1u);
+  for (double bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE("weight " + std::to_string(bad));
+    storage::RegionTrainingSet set = base;
+    set.weights.assign(set.num_examples(), 1.0);
+    set.weights[set.num_examples() / 2] = bad;
+    const Status st = (*state)->ApplyDelta({set});
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ((*state)->delta_batches(), batches);
+    EXPECT_EQ((*state)->dirty_cells(), dirty);
+  }
 }
 
 // ---- Search over the retained rows ----
