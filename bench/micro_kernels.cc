@@ -154,6 +154,46 @@ void BM_TrainingSseFromStats(benchmark::State& state) {
 }
 BENCHMARK(BM_TrainingSseFromStats)->Arg(3)->Arg(6)->Arg(12)->Arg(24);
 
+// A degenerate cell: the last column copies column 1, and the packed cross
+// term between them is pushed past the diagonals, so the ordinary solve
+// fails at every ridge up to 1e-4. Arg 1 selects how far: x1.002 lets the
+// heavy-ridge tier succeed, x3 defeats it too and the weighted-mean model
+// answers. The label names the tier that fired.
+void BM_FitWithFallbackDegenerate(benchmark::State& state) {
+  const size_t p = state.range(0);
+  Rng rng(6);
+  regression::RegressionSuffStats base(p);
+  std::vector<double> x(p);
+  for (int i = 0; i < 200; ++i) {
+    x[0] = 1.0;
+    for (size_t j = 1; j < p; ++j) x[j] = rng.NextDouble(-1, 1);
+    x[p - 1] = x[1];
+    base.Add(x.data(), rng.NextDouble());
+  }
+  std::vector<double> packed = base.packed_xtwx();
+  packed[regression::RegressionSuffStats::PackedIndex(p, 1, p - 1)] *=
+      state.range(1) == 0 ? 1.002 : 3.0;
+  const regression::RegressionSuffStats stats =
+      regression::RegressionSuffStats::FromPacked(
+          p, std::move(packed), base.xtwy(), base.ytwy(),
+          base.num_examples(), base.sum_weights());
+  auto probe = stats.FitWithFallback();
+  if (!probe.ok()) {
+    state.SkipWithError("fit failed");
+    return;
+  }
+  state.SetLabel(regression::FitDegradationName(probe->degradation));
+  for (auto _ : state) {
+    auto fit = stats.FitWithFallback();
+    benchmark::DoNotOptimize(fit);
+  }
+}
+BENCHMARK(BM_FitWithFallbackDegenerate)
+    ->Args({3, 0})
+    ->Args({6, 0})
+    ->Args({3, 1})
+    ->Args({6, 1});
+
 olap::RegionSpace MakeSpace(int32_t months, int32_t fanout) {
   std::vector<olap::Dimension> dims;
   dims.emplace_back(olap::IntervalDimension("Time", months));

@@ -1,7 +1,6 @@
 #include "core/bellwether_state.h"
 
 #include <algorithm>
-#include <cmath>
 #include <istream>
 #include <limits>
 #include <memory>
@@ -10,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/stopwatch.h"
 #include "core/eval_util.h"
 #include "core/model_io.h"
@@ -18,7 +18,6 @@
 #include "obs/logger.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "regression/suff_stats_io.h"
 #include "robust/checkpoint.h"
 #include "robust/fault_injection.h"
 #include "storage/arena.h"
@@ -29,18 +28,61 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Bound on serialized counts (mask entries, retained rows per region), in
-// line with the other model_io sections: a corrupt count fails cleanly
-// instead of turning into a gigantic allocation.
+// Bounds on serialized counts, in line with the other model_io sections;
+// a slot's example count beyond 2^48 is corruption, never a real scan.
+// The bytes left in the file bound every allocation as well.
 constexpr int64_t kMaxStateCount = int64_t{1} << 26;
+constexpr int32_t kMaxArity = 4096;
+constexpr int64_t kMaxExamples = int64_t{1} << 48;
+
+// Closes the state body, ahead of the trailing checksum ("BWSTEND4").
+constexpr uint64_t kStateEndMarker = 0x34444E4554535742ULL;
 
 using regression::RegressionSuffStats;
 using storage::RegionTrainingSet;
 
-// The accumulators require w > 0 (RegressionSuffStats::Add,
-// Dataset::AddWeighted), so a row weight that is zero, negative or not
-// finite is rejected at the state's entry points rather than folded.
-bool ValidRowWeight(double w) { return w > 0.0 && std::isfinite(w); }
+// Writes the state body, folding every byte into its closing checksum.
+class BodyWriter final : public storage::ByteSink {
+ public:
+  explicit BodyWriter(std::ostream& out) : out_(out) {}
+  Status Write(const void* data, size_t bytes) override {
+    checksum_.Update(data, bytes);
+    out_.write(static_cast<const char*>(data),
+               static_cast<std::streamsize>(bytes));
+    return out_ ? Status::OK() : Status::IoError("state write failed");
+  }
+  uint64_t checksum() const { return checksum_.value(); }
+
+ private:
+  std::ostream& out_;
+  robust::FingerprintBuilder checksum_;
+};
+
+// Reads the state body, never past its end, folding every byte into the
+// checksum.
+class BodyReader final : public storage::ByteSource {
+ public:
+  BodyReader(std::istream& in, uint64_t body_bytes)
+      : in_(in), remaining_(body_bytes) {}
+  Status Read(void* data, size_t bytes) override {
+    if (bytes > remaining_) return Status::IoError("truncated state");
+    if (bytes == 0) return Status::OK();
+    if (!in_.read(static_cast<char*>(data),
+                  static_cast<std::streamsize>(bytes))) {
+      return Status::IoError("truncated state");
+    }
+    remaining_ -= bytes;
+    checksum_.Update(data, bytes);
+    return Status::OK();
+  }
+  uint64_t remaining() const override { return remaining_; }
+  uint64_t checksum() const { return checksum_.value(); }
+
+ private:
+  std::istream& in_;
+  uint64_t remaining_;
+  robust::FingerprintBuilder checksum_;
+};
 
 // Registry counters for the incremental-maintenance path; resolved once and
 // cached (registry pointers are stable).
@@ -182,7 +224,7 @@ Status BellwetherState::ValidateDeltaBatch(
       return Status::InvalidArgument("delta set weights size mismatch");
     }
     for (double w : set.weights) {
-      if (!ValidRowWeight(w)) {
+      if (!storage::ValidRowWeight(w)) {
         return Status::InvalidArgument(
             "delta row weight must be positive and finite");
       }
@@ -482,113 +524,105 @@ Result<std::unique_ptr<BellwetherState>> BellwetherState::Open(
 }
 
 Status BellwetherState::SerializeTo(std::ostream& out) const {
+  BodyWriter body(out);
   const CubeBuildConfig& c = options_.config;
-  out << "fingerprint " << fingerprint_ << "\n";
-  out << "config " << c.min_subset_size << ' ' << c.min_examples_per_model
-      << ' ' << (c.compute_cv_stats ? 1 : 0) << ' ' << c.cv_folds << ' '
-      << c.seed << "\n";
-  out << "mask " << (has_mask_ ? 1 : 0);
+  BW_RETURN_IF_ERROR(body.Put(fingerprint_));
+  BW_RETURN_IF_ERROR(body.Put(c.min_subset_size));
+  BW_RETURN_IF_ERROR(body.Put(c.min_examples_per_model));
+  BW_RETURN_IF_ERROR(body.Put(static_cast<uint8_t>(c.compute_cv_stats)));
+  BW_RETURN_IF_ERROR(body.Put(c.cv_folds));
+  BW_RETURN_IF_ERROR(body.Put(c.seed));
+  BW_RETURN_IF_ERROR(body.Put(static_cast<uint8_t>(has_mask_)));
   if (has_mask_) {
-    out << ' ' << item_mask_.size();
-    for (uint8_t m : item_mask_) out << ' ' << (m != 0 ? 1 : 0);
+    BW_RETURN_IF_ERROR(body.Put(static_cast<int64_t>(item_mask_.size())));
+    BW_RETURN_IF_ERROR(body.Write(item_mask_.data(), item_mask_.size()));
   }
-  out << "\n";
-  out << "num_features " << num_features_ << "\n";
-  out << "delta_batches " << delta_batches_ << "\n";
-  out << "regions " << slots_.size() << "\n";
+  BW_RETURN_IF_ERROR(body.Put(num_features_));
+  BW_RETURN_IF_ERROR(body.Put(delta_batches_));
+  BW_RETURN_IF_ERROR(body.Put(static_cast<int64_t>(slots_.size())));
+  const size_t p = static_cast<size_t>(num_features_);
   for (const auto& [region, slot] : slots_) {
     // Only touched accumulators hit the wire (arity 0 marks untouched); the
     // dense remainder is reconstructed on load. Errors are not persisted —
     // they are recomputed from the statistics, which is deterministic.
-    std::vector<int32_t> touched;
+    int64_t touched = 0;
+    for (const RegressionSuffStats& s : slot.stats) {
+      if (s.num_features() != 0) ++touched;
+    }
+    BW_RETURN_IF_ERROR(body.Put(static_cast<int64_t>(region)));
+    BW_RETURN_IF_ERROR(body.Put(touched));
     for (size_t k = 0; k < slot.stats.size(); ++k) {
-      if (slot.stats[k].num_features() != 0) {
-        touched.push_back(static_cast<int32_t>(k));
-      }
+      const RegressionSuffStats& s = slot.stats[k];
+      if (s.num_features() == 0) continue;
+      BW_CHECK(s.num_features() == p);
+      BW_RETURN_IF_ERROR(body.Put(static_cast<int32_t>(k)));
+      BW_RETURN_IF_ERROR(body.Put(s.num_examples()));
+      BW_RETURN_IF_ERROR(body.Put(s.sum_weights()));
+      BW_RETURN_IF_ERROR(body.Put(s.ytwy()));
+      BW_RETURN_IF_ERROR(body.Write(s.packed_xtwx().data(),
+                                    s.packed_xtwx().size() * sizeof(double)));
+      BW_RETURN_IF_ERROR(body.Write(s.xtwy().data(), p * sizeof(double)));
     }
-    out << "region " << region << ' ' << touched.size() << "\n";
-    for (int32_t k : touched) {
-      out << "slot " << k << "\n";
-      regression::WriteSuffStats(out, slot.stats[k]);
-    }
-    const RegionTrainingSet& rows = slot.rows;
-    out << "rows " << rows.num_examples() << ' ' << (rows.weighted() ? 1 : 0)
-        << "\n";
-    out << "items";
-    for (int32_t item : rows.items) out << ' ' << item;
-    out << "\n";
-    out << "features";
-    for (double v : rows.features) {
-      out << ' ';
-      regression::WriteWireDouble(out, v);
-    }
-    out << "\n";
-    out << "targets";
-    for (double v : rows.targets) {
-      out << ' ';
-      regression::WriteWireDouble(out, v);
-    }
-    out << "\n";
-    if (rows.weighted()) {
-      out << "weights";
-      for (double v : rows.weights) {
-        out << ' ';
-        regression::WriteWireDouble(out, v);
-      }
-      out << "\n";
-    }
+    BW_RETURN_IF_ERROR(storage::WriteRegionRecord(slot.rows, &body));
   }
-  out << "end\n";
+  BW_RETURN_IF_ERROR(body.Put(kStateEndMarker));
+  const uint64_t checksum = body.checksum();
+  out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
   if (!out) return Status::IoError("state write failed");
   return Status::OK();
 }
 
 Result<std::unique_ptr<BellwetherState>> BellwetherState::DeserializeFrom(
     std::istream& in, std::shared_ptr<const ItemSubsetSpace> subsets) {
-  std::string tag;
-  uint64_t stored_fp = 0;
-  if (!(in >> tag >> stored_fp) || tag != "fingerprint") {
-    return Status::IoError("truncated state (fingerprint)");
+  // The body runs from here to the trailing checksum. Every count below is
+  // bounded by the bytes still left in it before anything is allocated.
+  const std::streamoff start = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff size = in.tellg();
+  in.seekg(start);
+  if (start < 0 || !in ||
+      size - start < static_cast<std::streamoff>(sizeof(uint64_t))) {
+    return Status::IoError("truncated state (no checksum)");
   }
+  BodyReader body(in, static_cast<uint64_t>(size - start) - sizeof(uint64_t));
+  uint64_t stored_fp = 0;
+  BW_RETURN_IF_ERROR(body.Get(&stored_fp));
   Options options;
   CubeBuildConfig& c = options.config;
-  int cv = 0;
-  if (!(in >> tag >> c.min_subset_size >> c.min_examples_per_model >> cv >>
-        c.cv_folds >> c.seed) ||
-      tag != "config") {
-    return Status::IoError("truncated state (config)");
-  }
+  uint8_t cv = 0;
+  BW_RETURN_IF_ERROR(body.Get(&c.min_subset_size));
+  BW_RETURN_IF_ERROR(body.Get(&c.min_examples_per_model));
+  BW_RETURN_IF_ERROR(body.Get(&cv));
+  BW_RETURN_IF_ERROR(body.Get(&c.cv_folds));
+  BW_RETURN_IF_ERROR(body.Get(&c.seed));
   c.compute_cv_stats = cv != 0;
-  int has_mask = 0;
-  if (!(in >> tag >> has_mask) || tag != "mask") {
-    return Status::IoError("truncated state (mask)");
-  }
+  uint8_t has_mask = 0;
+  BW_RETURN_IF_ERROR(body.Get(&has_mask));
   std::vector<uint8_t> mask;
   if (has_mask != 0) {
     int64_t n = 0;
-    if (!(in >> n) || n < 0 || n > kMaxStateCount) {
+    BW_RETURN_IF_ERROR(body.Get(&n));
+    if (n < 0 || n > kMaxStateCount ||
+        static_cast<uint64_t>(n) > body.remaining()) {
       return Status::IoError("implausible mask size in state");
     }
     mask.resize(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i) {
-      int v = 0;
-      if (!(in >> v)) return Status::IoError("truncated state (mask bits)");
-      mask[i] = v != 0 ? 1 : 0;
-    }
+    BW_RETURN_IF_ERROR(body.Read(mask.data(), mask.size()));
+    for (uint8_t& m : mask) m = m != 0 ? 1 : 0;
   }
   int32_t num_features = 0;
-  if (!(in >> tag >> num_features) || tag != "num_features" ||
-      num_features < 0 || num_features > 4096) {
+  BW_RETURN_IF_ERROR(body.Get(&num_features));
+  if (num_features < 0 || num_features > kMaxArity) {
     return Status::IoError("bad state num_features");
   }
   int64_t delta_batches = 0;
-  if (!(in >> tag >> delta_batches) || tag != "delta_batches" ||
-      delta_batches < 0) {
-    return Status::IoError("bad state delta_batches");
-  }
+  BW_RETURN_IF_ERROR(body.Get(&delta_batches));
+  if (delta_batches < 0) return Status::IoError("bad state delta_batches");
   int64_t num_regions = 0;
-  if (!(in >> tag >> num_regions) || tag != "regions" || num_regions < 0 ||
-      num_regions > kMaxStateCount) {
+  BW_RETURN_IF_ERROR(body.Get(&num_regions));
+  // Regions are only created by non-empty rows, which fix the arity.
+  if (num_regions < 0 || num_regions > kMaxStateCount ||
+      (num_regions > 0 && num_features == 0)) {
     return Status::IoError("implausible region count in state");
   }
   BW_ASSIGN_OR_RETURN(
@@ -601,91 +635,84 @@ Result<std::unique_ptr<BellwetherState>> BellwetherState::DeserializeFrom(
   }
   state->num_features_ = num_features;
   state->delta_batches_ = delta_batches;
+  const size_t p = static_cast<size_t>(num_features);
+  const uint64_t slot_bytes =
+      (2 + RegressionSuffStats::PackedSize(p) + p) * sizeof(double);
   const int64_t nsig = static_cast<int64_t>(state->significant_.size());
   const int32_t num_items = state->subsets_->num_items();
   const int32_t min_examples = state->options_.config.min_examples_per_model;
   olap::RegionId prev_region = olap::kInvalidRegion;
   for (int64_t i = 0; i < num_regions; ++i) {
-    olap::RegionId region = olap::kInvalidRegion;
-    int64_t nonempty = 0;
-    if (!(in >> tag >> region >> nonempty) || tag != "region") {
-      return Status::IoError("truncated state (region header)");
-    }
-    if (region < 0 || region <= prev_region) {
+    int64_t region = olap::kInvalidRegion;
+    int64_t touched = 0;
+    BW_RETURN_IF_ERROR(body.Get(&region));
+    BW_RETURN_IF_ERROR(body.Get(&touched));
+    if (region <= prev_region) {  // also rejects negative ids
       return Status::IoError("state regions out of order");
     }
     prev_region = region;
-    if (nonempty < 0 || nonempty > nsig) {
+    if (touched < 0 || touched > nsig) {
       return Status::IoError("implausible slot count in state");
     }
     RegionSlot& slot = state->SlotFor(region, num_features);
-    int64_t prev_k = -1;
-    for (int64_t j = 0; j < nonempty; ++j) {
-      int64_t k = -1;
-      if (!(in >> tag >> k) || tag != "slot") {
-        return Status::IoError("truncated state (slot header)");
-      }
+    int32_t prev_k = -1;
+    for (int64_t j = 0; j < touched; ++j) {
+      int32_t k = -1;
+      int64_t n = 0;
+      double sum_w = 0.0;
+      double ytwy = 0.0;
+      BW_RETURN_IF_ERROR(body.Get(&k));
+      BW_RETURN_IF_ERROR(body.Get(&n));
       if (k <= prev_k || k >= nsig) {
         return Status::IoError("state slot index out of range");
       }
       prev_k = k;
-      BW_ASSIGN_OR_RETURN(RegressionSuffStats stats,
-                          regression::ReadSuffStats(in));
-      if (stats.num_features() != static_cast<size_t>(num_features)) {
-        return Status::IoError("state slot stats arity mismatch");
+      if (n < 0 || n > kMaxExamples) {
+        return Status::IoError("implausible example count in state slot");
       }
-      slot.errors[k] = TrainingErrorOfStats(stats, min_examples);
-      slot.stats[k] = std::move(stats);
-    }
-    int64_t n = 0;
-    int weighted = 0;
-    if (!(in >> tag >> n >> weighted) || tag != "rows" || n < 0 ||
-        n > kMaxStateCount) {
-      return Status::IoError("implausible row count in state");
+      if (slot_bytes > body.remaining()) {
+        return Status::IoError("truncated state (slot stats)");
+      }
+      BW_RETURN_IF_ERROR(body.Get(&sum_w));
+      BW_RETURN_IF_ERROR(body.Get(&ytwy));
+      std::vector<double> packed(RegressionSuffStats::PackedSize(p));
+      std::vector<double> xtwy(p);
+      BW_RETURN_IF_ERROR(
+          body.Read(packed.data(), packed.size() * sizeof(double)));
+      BW_RETURN_IF_ERROR(body.Read(xtwy.data(), xtwy.size() * sizeof(double)));
+      slot.stats[k] = RegressionSuffStats::FromPacked(
+          p, std::move(packed), std::move(xtwy), ytwy, n, sum_w);
+      slot.errors[k] = TrainingErrorOfStats(slot.stats[k], min_examples);
     }
     RegionTrainingSet& rows = slot.rows;
-    if (!(in >> tag) || tag != "items") {
-      return Status::IoError("truncated state (items)");
+    BW_RETURN_IF_ERROR(storage::ReadRegionRecord(&body, &rows));
+    if (rows.region != region || rows.num_features != num_features) {
+      return Status::IoError("state rows do not match their region");
     }
-    rows.items.resize(static_cast<size_t>(n));
-    for (int64_t r = 0; r < n; ++r) {
-      if (!(in >> rows.items[r])) {
-        return Status::IoError("truncated state (item)");
-      }
-      if (rows.items[r] < 0 || rows.items[r] >= num_items) {
+    if (rows.num_examples() > static_cast<size_t>(kMaxStateCount)) {
+      return Status::IoError("implausible row count in state");
+    }
+    for (int32_t item : rows.items) {
+      if (item < 0 || item >= num_items) {
         return Status::IoError("state row item index out of range");
       }
     }
-    if (!(in >> tag) || tag != "features") {
-      return Status::IoError("truncated state (features)");
-    }
-    rows.features.resize(static_cast<size_t>(n) *
-                         static_cast<size_t>(num_features));
-    for (double& v : rows.features) {
-      BW_RETURN_IF_ERROR(regression::ReadWireDouble(in, &v));
-    }
-    if (!(in >> tag) || tag != "targets") {
-      return Status::IoError("truncated state (targets)");
-    }
-    rows.targets.resize(static_cast<size_t>(n));
-    for (double& v : rows.targets) {
-      BW_RETURN_IF_ERROR(regression::ReadWireDouble(in, &v));
-    }
-    if (weighted != 0) {
-      if (!(in >> tag) || tag != "weights") {
-        return Status::IoError("truncated state (weights)");
-      }
-      rows.weights.resize(static_cast<size_t>(n));
-      for (double& v : rows.weights) {
-        BW_RETURN_IF_ERROR(regression::ReadWireDouble(in, &v));
-        if (!ValidRowWeight(v)) {
-          return Status::IoError("state row weight not positive and finite");
-        }
-      }
-    }
   }
-  if (!(in >> tag) || tag != "end") {
-    return Status::IoError("truncated state (missing end)");
+  uint64_t end_marker = 0;
+  BW_RETURN_IF_ERROR(body.Get(&end_marker));
+  if (end_marker != kStateEndMarker) {
+    return Status::IoError("state end marker missing");
+  }
+  if (body.remaining() != 0) {
+    return Status::IoError("trailing bytes after state end");
+  }
+  uint64_t stored_checksum = 0;
+  if (!in.read(reinterpret_cast<char*>(&stored_checksum),
+               sizeof(stored_checksum))) {
+    return Status::IoError("truncated state (checksum)");
+  }
+  if (stored_checksum != body.checksum()) {
+    return Status::IoError("state checksum mismatch");
   }
   // A reopened state re-derives every cell on its first Finalize
   // (finalized_once_ is false), which is deterministic from the restored

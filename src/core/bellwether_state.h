@@ -39,8 +39,9 @@ namespace bellwether::core {
 /// remainder.
 ///
 /// States persist via model_io (SaveBellwetherState / LoadBellwetherState,
-/// format "bellwether-state-v3"): packed-triangle suff-stats and retained
-/// rows on the wire, per-cell errors recomputed on load. A reopened state
+/// format "bellwether-state-v4"): packed-triangle suff-stats as raw doubles
+/// and retained rows in the spill-record encoding, closed by a checksum;
+/// per-cell errors are recomputed on load. A reopened state
 /// re-derives every cell on its first Finalize, so kill/reopen/re-apply
 /// converges to the same artifacts. This save is the only checkpoint format:
 /// with config.checkpoint_path set, ApplyDelta saves at every batch boundary.
@@ -95,7 +96,7 @@ class BellwetherState {
   /// region or a change of scoring options.
   Result<BasicSearchResult> FinalizeSearch(const BasicSearchOptions& options);
 
-  /// Persists the state (model_io, "bellwether-state-v3"); atomic tmp +
+  /// Persists the state (model_io, "bellwether-state-v4"); atomic tmp +
   /// rename.
   Status Save(const std::string& path) const;
 
@@ -107,6 +108,11 @@ class BellwetherState {
       const std::string& path, std::shared_ptr<const ItemSubsetSpace> subsets);
 
   /// Wire-format body (everything but the magic line); used by model_io.
+  /// Raw little-endian values: header; per region its id, touched slots
+  /// (index, n, sum_w, ytwy, packed triangle, X'WY) and rows as one
+  /// storage region record; an end marker; a checksum of all of it.
+  /// DeserializeFrom needs a seekable stream: the bytes left bound every
+  /// count before allocation.
   Status SerializeTo(std::ostream& out) const;
   static Result<std::unique_ptr<BellwetherState>> DeserializeFrom(
       std::istream& in, std::shared_ptr<const ItemSubsetSpace> subsets);

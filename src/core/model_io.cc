@@ -17,7 +17,7 @@ namespace {
 constexpr const char* kLinearMagic = "bellwether-linear-v1";
 constexpr const char* kTreeMagic = "bellwether-tree-v2";
 constexpr const char* kCubeMagic = "bellwether-cube-v2";
-constexpr const char* kStateMagic = "bellwether-state-v3";
+constexpr const char* kStateMagic = "bellwether-state-v4";
 
 // Sanity bound on serialized counts (vector lengths, node/cell counts): a
 // corrupt or hostile length field must fail cleanly, not turn into a
@@ -77,7 +77,7 @@ Result<regression::FitDegradation> ReadDegradation(std::istream& in) {
 }
 
 Result<std::ofstream> OpenForWrite(const std::string& path) {
-  std::ofstream out(path);
+  std::ofstream out(path, std::ios::binary);
   if (!out) {
     return Status::IoError("cannot write " + path + ": " +
                            std::strerror(errno));
@@ -320,7 +320,7 @@ Status SaveBellwetherState(const BellwetherState& state,
 
 Result<std::unique_ptr<BellwetherState>> LoadBellwetherState(
     const std::string& path, std::shared_ptr<const ItemSubsetSpace> subsets) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot read " + path);
   BW_RETURN_IF_ERROR(CheckMagic(in, kStateMagic, path));
   return BellwetherState::DeserializeFrom(in, std::move(subsets));

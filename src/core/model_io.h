@@ -13,8 +13,9 @@ namespace bellwether::core {
 
 /// Serialization of fitted bellwether artifacts, so analysis (expensive,
 /// over the historical warehouse) and prediction (cheap, per new item) can
-/// run in separate processes. The format is a line-oriented text format:
-/// human-inspectable, versioned, and stable across platforms.
+/// run in separate processes. Every file opens with a versioned magic line.
+/// Models, trees and cubes are line-oriented text; the BellwetherState,
+/// which holds every retained row, is binary and checksummed.
 
 /// ---- Linear (bellwether) models ----
 
@@ -60,14 +61,17 @@ Result<BellwetherCube> LoadBellwetherCube(
 class BellwetherState;
 
 /// Writes an open incremental BellwetherState (packed-triangle sufficient
-/// statistics plus retained per-region rows) atomically — tmp file, then
-/// rename — so a crash mid-save never clobbers the previous good state.
+/// statistics plus retained per-region rows, format "bellwether-state-v4")
+/// atomically — tmp file, then rename — so a crash mid-save never clobbers
+/// the previous good state.
 Status SaveBellwetherState(const BellwetherState& state,
                            const std::string& path);
 
 /// Reopens a state saved by SaveBellwetherState against the recreated
 /// subset space. The stored fingerprint must match the one recomputed from
-/// the space, config, and mask (kFailedPrecondition otherwise).
+/// the space, config, and mask (kFailedPrecondition otherwise, as for a file
+/// of another format version); a truncated or corrupt file, a checksum
+/// mismatch or bytes after the end are kIoError.
 Result<std::unique_ptr<BellwetherState>> LoadBellwetherState(
     const std::string& path, std::shared_ptr<const ItemSubsetSpace> subsets);
 

@@ -67,14 +67,24 @@ bool CholeskyFactor(double* l, size_t n) {
   return true;
 }
 
+// Where a ridge escalation stands: the next ridge to try and the
+// factorizations made so far. A solve that gives up leaves it past its
+// ceiling, so a solve with a higher ceiling resumes there.
+struct RidgeLadder {
+  double ridge = 0.0;
+  int attempt = 0;
+};
+
 // Solves the normal equations A beta = b, with A given as its packed upper
 // triangle (RegressionSuffStats::PackedIndex layout), by Cholesky
 // factorization. If A is singular or indefinite, retries with a ridge
-// (A + lambda I) escalating up to `max_ridge`, the way statistics packages
-// fall back to a pseudo-inverse on collinear designs. Writes beta only on
-// success. `scratch` holds SolveScratchSize(n) - n doubles.
+// (A + lambda I) escalating from `ladder` up to `max_ridge`, the way
+// statistics packages fall back to a pseudo-inverse on collinear designs.
+// Writes beta only on success. `scratch` holds SolveScratchSize(n) - n
+// doubles.
 bool SolvePacked(const double* upper, const double* b, size_t n,
-                 double max_ridge, double* scratch, double* beta) {
+                 double max_ridge, double* scratch, double* beta,
+                 RidgeLadder* ladder) {
   const size_t tri = n * (n + 1) / 2;
   double* scaled = scratch;
   double* l = scaled + tri;
@@ -98,8 +108,9 @@ bool SolvePacked(const double* upper, const double* b, size_t n,
   }
   for (size_t i = 0; i < n; ++i) rhs[i] = b[i] * d[i];
 
-  double ridge = 0.0;
-  for (int attempt = 0; attempt < 10; ++attempt) {
+  double ridge = ladder->ridge;
+  int attempt = ladder->attempt;
+  for (; attempt < 10 && ridge <= max_ridge; ++attempt) {
     std::copy(scaled, scaled + tri, l);
     if (ridge > 0.0) {
       for (size_t i = 0; i < n; ++i) l[LowerIndex(i, i)] += ridge;
@@ -123,8 +134,8 @@ bool SolvePacked(const double* upper, const double* b, size_t n,
     // The equilibrated matrix has a unit diagonal, so the ridge is already
     // relative to the problem scale.
     ridge = (ridge == 0.0) ? 1e-10 : ridge * 10.0;
-    if (ridge > max_ridge) break;
   }
+  *ladder = RidgeLadder{ridge, attempt};
   return false;
 }
 
@@ -235,8 +246,9 @@ Result<LinearModel> RegressionSuffStats::Fit() const {
   }
   SolveScratch scratch(p_);
   std::vector<double> beta(p_);
+  RidgeLadder ladder;
   if (!SolvePacked(xtwx_packed_.data(), xtwy_.data(), p_, kDefaultMaxRidge,
-                   scratch.data(), beta.data())) {
+                   scratch.data(), beta.data(), &ladder)) {
     return NotPositiveDefinite();
   }
   return LinearModel(std::move(beta));
@@ -249,12 +261,15 @@ Result<RobustFit> RegressionSuffStats::FitWithFallback(
   }
   SolveScratch scratch(p_);
   std::vector<double> beta(p_);
+  RidgeLadder ladder;
   if (SolvePacked(xtwx_packed_.data(), xtwy_.data(), p_, kDefaultMaxRidge,
-                  scratch.data(), beta.data())) {
+                  scratch.data(), beta.data(), &ladder)) {
     return RobustFit{LinearModel(std::move(beta)), FitDegradation::kNone};
   }
+  // The heavy-ridge tier resumes the ladder where the ordinary one stopped:
+  // its failed attempts would fail again, bit for bit.
   if (SolvePacked(xtwx_packed_.data(), xtwy_.data(), p_, heavy_ridge,
-                  scratch.data(), beta.data())) {
+                  scratch.data(), beta.data(), &ladder)) {
     bool finite = true;
     for (double b : beta) finite = finite && std::isfinite(b);
     if (finite) {
@@ -300,8 +315,9 @@ Result<double> RegressionSuffStats::TrainingSse() const {
   // p <= kStackArity.
   SolveScratch scratch(p_);
   double* beta = scratch.beta(p_);
+  RidgeLadder ladder;
   if (!SolvePacked(xtwx_packed_.data(), xtwy_.data(), p_, kDefaultMaxRidge,
-                   scratch.data(), beta)) {
+                   scratch.data(), beta, &ladder)) {
     return NotPositiveDefinite();
   }
   // Y'WY - (X'WY)' beta, with beta = (X'WX)^-1 (X'WY).

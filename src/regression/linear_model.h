@@ -65,8 +65,8 @@ struct RobustFit {
 /// (row-major, row r holding columns r..p-1): half the arithmetic and half
 /// the memory traffic of the naive p x p rank-1 update, and Merge collapses
 /// to one flat sum over a contiguous array. The packed triangle is the only
-/// representation: model I/O serializes it directly
-/// (regression/suff_stats_io.h) and restores it through FromPacked(), and
+/// representation: the saved BellwetherState stores it as raw doubles
+/// and restores it through FromPacked(), and
 /// Fit()/TrainingSse() solve the normal equations on it in place, with
 /// stack scratch up to arity 8.
 class RegressionSuffStats {
@@ -124,8 +124,7 @@ class RegressionSuffStats {
   Result<RobustFit> FitWithFallback(double heavy_ridge = 1e2) const;
 
   /// Reassembles a statistic from its packed upper triangle (PackedSize(p)
-  /// values, row-major) — the restore path of the packed wire format
-  /// (regression/suff_stats_io.h).
+  /// values, row-major) — the restore path of the saved BellwetherState.
   static RegressionSuffStats FromPacked(size_t p, std::vector<double> packed,
                                         std::vector<double> xtwy, double ytwy,
                                         int64_t n, double sum_w);

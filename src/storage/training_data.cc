@@ -1,5 +1,6 @@
 #include "storage/training_data.h"
 
+#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -15,7 +16,13 @@ namespace bellwether::storage {
 
 namespace {
 
+static_assert(std::endian::native == std::endian::little,
+              "spill and state files hold raw little-endian values");
+
 constexpr uint64_t kMagic = 0x42574C5350494C31ULL;  // "BWLSPIL1"
+
+// Spill footer: index_offset and count, both int64.
+constexpr int64_t kFooterBytes = 2 * sizeof(int64_t);
 
 // Registry counters mirrored alongside the per-source IoStats; resolved
 // once and cached (registry pointers are stable).
@@ -35,8 +42,9 @@ const StorageMetrics& Metrics() {
   return m;
 }
 
+// Empty arrays may have a null data(), which fwrite/fread must not see.
 Status WriteRaw(std::FILE* f, const void* data, size_t bytes) {
-  if (std::fwrite(data, 1, bytes, f) != bytes) {
+  if (bytes > 0 && std::fwrite(data, 1, bytes, f) != bytes) {
     return Status::IoError(std::string("spill write failed: ") +
                            std::strerror(errno));
   }
@@ -44,16 +52,41 @@ Status WriteRaw(std::FILE* f, const void* data, size_t bytes) {
 }
 
 Status ReadRaw(std::FILE* f, void* data, size_t bytes) {
-  if (std::fread(data, 1, bytes, f) != bytes) {
+  if (bytes > 0 && std::fread(data, 1, bytes, f) != bytes) {
     return Status::IoError("spill read failed (truncated file?)");
   }
   return Status::OK();
 }
 
-template <typename T>
-Status WritePod(std::FILE* f, const T& v) {
-  return WriteRaw(f, &v, sizeof(T));
-}
+class FileSink final : public ByteSink {
+ public:
+  explicit FileSink(std::FILE* f) : f_(f) {}
+  Status Write(const void* data, size_t bytes) override {
+    return WriteRaw(f_, data, bytes);
+  }
+
+ private:
+  std::FILE* f_;
+};
+
+class MemorySource final : public ByteSource {
+ public:
+  MemorySource(const unsigned char* data, size_t size)
+      : p_(data), end_(data + size) {}
+  Status Read(void* data, size_t bytes) override {
+    if (bytes > static_cast<size_t>(end_ - p_)) {
+      return Status::IoError("truncated region record");
+    }
+    if (bytes > 0) std::memcpy(data, p_, bytes);
+    p_ += bytes;
+    return Status::OK();
+  }
+  uint64_t remaining() const override { return end_ - p_; }
+
+ private:
+  const unsigned char* p_;
+  const unsigned char* end_;
+};
 
 template <typename T>
 Status ReadPod(std::FILE* f, T* v) {
@@ -83,16 +116,74 @@ void SimulatedDeviceWaitMicros(int64_t micros) {
 }  // namespace
 
 size_t RegionTrainingSet::ByteSize() const {
-  // Exactly the serialized spill-record size (header: region int64,
+  // Exactly the serialized region-record size (header: region int64,
   // num_features int32, count int64, has_weights uint8 — then the items,
   // features, targets, and optional weights arrays). BudgetedSink's memory
   // budget and the IoStats byte counters both rely on this matching what
-  // SpillFileWriter::Append actually writes.
+  // WriteRegionRecord actually writes.
   constexpr size_t kHeaderBytes =
       sizeof(int64_t) + sizeof(int32_t) + sizeof(int64_t) + sizeof(uint8_t);
   return kHeaderBytes + items.size() * sizeof(int32_t) +
          features.size() * sizeof(double) + targets.size() * sizeof(double) +
          weights.size() * sizeof(double);
+}
+
+Status WriteRegionRecord(const RegionTrainingSet& set, ByteSink* out) {
+  BW_CHECK(set.targets.size() == set.items.size());
+  BW_CHECK(set.features.size() ==
+           set.items.size() * static_cast<size_t>(set.num_features));
+  BW_CHECK(set.weights.empty() || set.weights.size() == set.items.size());
+  BW_RETURN_IF_ERROR(out->Put(static_cast<int64_t>(set.region)));
+  BW_RETURN_IF_ERROR(out->Put(set.num_features));
+  BW_RETURN_IF_ERROR(out->Put(static_cast<int64_t>(set.items.size())));
+  BW_RETURN_IF_ERROR(out->Put(static_cast<uint8_t>(set.weighted())));
+  BW_RETURN_IF_ERROR(
+      out->Write(set.items.data(), set.items.size() * sizeof(int32_t)));
+  BW_RETURN_IF_ERROR(
+      out->Write(set.features.data(), set.features.size() * sizeof(double)));
+  BW_RETURN_IF_ERROR(
+      out->Write(set.targets.data(), set.targets.size() * sizeof(double)));
+  return out->Write(set.weights.data(), set.weights.size() * sizeof(double));
+}
+
+Status ReadRegionRecord(ByteSource* in, RegionTrainingSet* out) {
+  int64_t n = 0;
+  uint8_t has_weights = 0;
+  BW_RETURN_IF_ERROR(in->Get(&out->region));
+  BW_RETURN_IF_ERROR(in->Get(&out->num_features));
+  BW_RETURN_IF_ERROR(in->Get(&n));
+  BW_RETURN_IF_ERROR(in->Get(&has_weights));
+  if (n < 0 || out->num_features < 0 || has_weights > 1) {
+    return Status::IoError("corrupt region record header");
+  }
+  // Each field is bounded before any product: a row is at most
+  // 4 + 8 * (2^31 + 1) bytes, so neither this nor the division overflows.
+  const uint64_t row_bytes =
+      sizeof(int32_t) + (static_cast<uint64_t>(out->num_features) + 1 +
+                         has_weights) * sizeof(double);
+  if (static_cast<uint64_t>(n) > in->remaining() / row_bytes) {
+    return Status::IoError("region record longer than its file");
+  }
+  const size_t rows = static_cast<size_t>(n);
+  out->items.resize(rows);
+  out->features.resize(rows * static_cast<size_t>(out->num_features));
+  out->targets.resize(rows);
+  out->weights.resize(has_weights ? rows : 0);
+  BW_RETURN_IF_ERROR(
+      in->Read(out->items.data(), out->items.size() * sizeof(int32_t)));
+  BW_RETURN_IF_ERROR(
+      in->Read(out->features.data(), out->features.size() * sizeof(double)));
+  BW_RETURN_IF_ERROR(
+      in->Read(out->targets.data(), out->targets.size() * sizeof(double)));
+  BW_RETURN_IF_ERROR(
+      in->Read(out->weights.data(), out->weights.size() * sizeof(double)));
+  for (double w : out->weights) {
+    if (!ValidRowWeight(w)) {
+      return Status::IoError(
+          "region record row weight not positive and finite");
+    }
+  }
+  return Status::OK();
 }
 
 MemoryTrainingData::MemoryTrainingData(std::vector<RegionTrainingSet> sets)
@@ -149,7 +240,7 @@ Result<std::unique_ptr<SpillFileWriter>> SpillFileWriter::Create(
   }
   auto writer = std::unique_ptr<SpillFileWriter>(
       new SpillFileWriter(path, f));
-  BW_RETURN_IF_ERROR(WritePod(f, kMagic));
+  BW_RETURN_IF_ERROR(FileSink(f).Put(kMagic));
   return writer;
 }
 
@@ -162,28 +253,10 @@ Status SpillFileWriter::Append(const RegionTrainingSet& set) {
   // set's buffers to the arena on this path like on the success path.
   BW_RETURN_IF_ERROR(robust::MaybeInjectIo(robust::kFaultStorageSpill));
   BW_CHECK(!finished_);
-  BW_CHECK(set.targets.size() == set.items.size());
-  BW_CHECK(set.features.size() ==
-           set.items.size() * static_cast<size_t>(set.num_features));
-  BW_CHECK(set.weights.empty() || set.weights.size() == set.items.size());
   offsets_.push_back(std::ftell(file_));
   region_ids_.push_back(set.region);
-  BW_RETURN_IF_ERROR(WritePod(file_, static_cast<int64_t>(set.region)));
-  BW_RETURN_IF_ERROR(WritePod(file_, set.num_features));
-  BW_RETURN_IF_ERROR(WritePod(file_, static_cast<int64_t>(set.items.size())));
-  const uint8_t has_weights = set.weighted() ? 1 : 0;
-  BW_RETURN_IF_ERROR(WritePod(file_, has_weights));
-  BW_RETURN_IF_ERROR(WriteRaw(file_, set.items.data(),
-                              set.items.size() * sizeof(int32_t)));
-  BW_RETURN_IF_ERROR(WriteRaw(file_, set.features.data(),
-                              set.features.size() * sizeof(double)));
-  BW_RETURN_IF_ERROR(WriteRaw(file_, set.targets.data(),
-                              set.targets.size() * sizeof(double)));
-  if (has_weights) {
-    BW_RETURN_IF_ERROR(WriteRaw(file_, set.weights.data(),
-                                set.weights.size() * sizeof(double)));
-  }
-  return Status::OK();
+  FileSink sink(file_);
+  return WriteRegionRecord(set, &sink);
 }
 
 Status SpillFileWriter::Finish() {
@@ -195,8 +268,9 @@ Status SpillFileWriter::Finish() {
                               offsets_.size() * sizeof(int64_t)));
   BW_RETURN_IF_ERROR(WriteRaw(file_, region_ids_.data(),
                               region_ids_.size() * sizeof(int64_t)));
-  BW_RETURN_IF_ERROR(WritePod(file_, index_offset));
-  BW_RETURN_IF_ERROR(WritePod(file_, count));
+  FileSink sink(file_);
+  BW_RETURN_IF_ERROR(sink.Put(index_offset));
+  BW_RETURN_IF_ERROR(sink.Put(count));
   if (std::fflush(file_) != 0) return Status::IoError("spill flush failed");
   std::fclose(file_);
   file_ = nullptr;
@@ -205,45 +279,55 @@ Status SpillFileWriter::Finish() {
 
 Result<std::unique_ptr<SpilledTrainingData>> SpilledTrainingData::Open(
     const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
+  std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
+      std::fopen(path.c_str(), "rb"), &std::fclose);
+  std::FILE* f = file.get();
   if (f == nullptr) {
     return Status::IoError("cannot open spill file " + path + ": " +
                            std::strerror(errno));
   }
   uint64_t magic = 0;
   if (!ReadPod(f, &magic).ok() || magic != kMagic) {
-    std::fclose(f);
     return Status::IoError("bad spill file magic: " + path);
   }
   // Footer: [offsets][region_ids][index_offset][count].
-  if (std::fseek(f, -2 * static_cast<long>(sizeof(int64_t)), SEEK_END) != 0) {
-    std::fclose(f);
-    return Status::IoError("cannot seek spill footer: " + path);
-  }
+  int64_t file_size = -1;
+  if (std::fseek(f, 0, SEEK_END) == 0) file_size = std::ftell(f);
   int64_t index_offset = 0;
   int64_t count = 0;
-  Status st = ReadPod(f, &index_offset);
-  if (st.ok()) st = ReadPod(f, &count);
-  if (!st.ok() || count < 0) {
-    std::fclose(f);
+  if (file_size < static_cast<int64_t>(sizeof(kMagic)) + kFooterBytes ||
+      std::fseek(f, file_size - kFooterBytes, SEEK_SET) != 0 ||
+      !ReadPod(f, &index_offset).ok() || !ReadPod(f, &count).ok()) {
+    return Status::IoError("cannot read spill footer: " + path);
+  }
+  // The index (an offset and a region id per record) must fill the file up
+  // to the footer. Each field is bounded first, so the sum cannot overflow.
+  if (count < 0 || count > file_size / 16 ||
+      index_offset < static_cast<int64_t>(sizeof(kMagic)) ||
+      index_offset > file_size ||
+      index_offset + 16 * count + kFooterBytes != file_size) {
     return Status::IoError("corrupt spill footer: " + path);
   }
   std::vector<int64_t> offsets(count);
   std::vector<int64_t> region_ids(count);
-  if (std::fseek(f, static_cast<long>(index_offset), SEEK_SET) != 0) {
-    std::fclose(f);
-    return Status::IoError("cannot seek spill index: " + path);
+  if (std::fseek(f, static_cast<long>(index_offset), SEEK_SET) != 0 ||
+      !ReadRaw(f, offsets.data(), offsets.size() * sizeof(int64_t)).ok() ||
+      !ReadRaw(f, region_ids.data(), region_ids.size() * sizeof(int64_t))
+           .ok()) {
+    return Status::IoError("cannot read spill index: " + path);
   }
-  st = ReadRaw(f, offsets.data(), offsets.size() * sizeof(int64_t));
-  if (st.ok()) {
-    st = ReadRaw(f, region_ids.data(), region_ids.size() * sizeof(int64_t));
+  // Offsets ascend between the magic and the index, so no record length
+  // RecordEnd(i) - offsets[i] is negative or longer than the file.
+  int64_t prev = static_cast<int64_t>(sizeof(kMagic));
+  for (int64_t offset : offsets) {
+    if (offset < prev || offset > index_offset) {
+      return Status::IoError("corrupt spill index: " + path);
+    }
+    prev = offset;
   }
-  if (!st.ok()) {
-    std::fclose(f);
-    return st;
-  }
-  return std::unique_ptr<SpilledTrainingData>(new SpilledTrainingData(
-      path, f, std::move(offsets), std::move(region_ids), index_offset));
+  return std::unique_ptr<SpilledTrainingData>(
+      new SpilledTrainingData(path, file.release(), std::move(offsets),
+                              std::move(region_ids), index_offset));
 }
 
 SpilledTrainingData::~SpilledTrainingData() {
@@ -254,54 +338,17 @@ Status SpilledTrainingData::ReadRecord(size_t index, RegionTrainingSet* out) {
   // One seek + one read for the whole record (the footer index gives its
   // extent), parsed from the reusable buffer — instead of seven small freads
   // per record, which dominated the spill-scan profile.
-  constexpr int64_t kHeaderBytes =
-      sizeof(int64_t) + sizeof(int32_t) + sizeof(int64_t) + sizeof(uint8_t);
   const int64_t offset = offsets_[index];
-  const int64_t length = RecordEnd(index) - offset;
-  if (length < kHeaderBytes) {
-    return Status::IoError("corrupt spill record");
-  }
-  if (read_buffer_.size() < static_cast<size_t>(length)) {
-    read_buffer_.resize(static_cast<size_t>(length));
-  }
+  const size_t length = static_cast<size_t>(RecordEnd(index) - offset);
+  if (read_buffer_.size() < length) read_buffer_.resize(length);
   if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0) {
     return Status::IoError("seek failed in spill file");
   }
-  BW_RETURN_IF_ERROR(
-      ReadRaw(file_, read_buffer_.data(), static_cast<size_t>(length)));
-  const unsigned char* p = read_buffer_.data();
-  const auto consume = [&p](void* dst, size_t bytes) {
-    std::memcpy(dst, p, bytes);
-    p += bytes;
-  };
-  int64_t region = 0;
-  int64_t n = 0;
-  uint8_t has_weights = 0;
-  consume(&region, sizeof(region));
-  consume(&out->num_features, sizeof(out->num_features));
-  consume(&n, sizeof(n));
-  consume(&has_weights, sizeof(has_weights));
-  if (n < 0 || out->num_features < 0 || has_weights > 1) {
+  BW_RETURN_IF_ERROR(ReadRaw(file_, read_buffer_.data(), length));
+  MemorySource record(read_buffer_.data(), length);
+  BW_RETURN_IF_ERROR(ReadRegionRecord(&record, out));
+  if (out->ByteSize() != length || out->region != region_ids_[index]) {
     return Status::IoError("corrupt spill record");
-  }
-  const int64_t expected =
-      kHeaderBytes + n * static_cast<int64_t>(sizeof(int32_t)) +
-      n * out->num_features * static_cast<int64_t>(sizeof(double)) +
-      n * static_cast<int64_t>(sizeof(double)) +
-      (has_weights ? n * static_cast<int64_t>(sizeof(double)) : 0);
-  if (expected != length) {
-    return Status::IoError("corrupt spill record");
-  }
-  out->region = region;
-  out->items.resize(n);
-  out->features.resize(static_cast<size_t>(n) * out->num_features);
-  out->targets.resize(n);
-  out->weights.resize(has_weights ? n : 0);
-  consume(out->items.data(), out->items.size() * sizeof(int32_t));
-  consume(out->features.data(), out->features.size() * sizeof(double));
-  consume(out->targets.data(), out->targets.size() * sizeof(double));
-  if (has_weights) {
-    consume(out->weights.data(), out->weights.size() * sizeof(double));
   }
   SimulatedDeviceWaitMicros(simulated_latency_micros_);
   ++io_stats_.region_reads;

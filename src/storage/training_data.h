@@ -1,6 +1,7 @@
 #ifndef BELLWETHER_STORAGE_TRAINING_DATA_H_
 #define BELLWETHER_STORAGE_TRAINING_DATA_H_
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -37,6 +38,44 @@ struct RegionTrainingSet {
   /// memory budget.
   size_t ByteSize() const;
 };
+
+/// The accumulators require w > 0, so rows enter (ApplyDelta, every record
+/// decode) only with a positive, finite weight.
+inline bool ValidRowWeight(double w) { return w > 0.0 && std::isfinite(w); }
+
+/// Byte stream a region record is written to.
+class ByteSink {
+ public:
+  virtual ~ByteSink() = default;
+  virtual Status Write(const void* data, size_t bytes) = 0;
+  template <typename T>
+  Status Put(const T& v) {
+    return Write(&v, sizeof(T));
+  }
+};
+
+/// Bounded byte stream a region record is read from. Read fails with
+/// kIoError when fewer than `bytes` remain.
+class ByteSource {
+ public:
+  virtual ~ByteSource() = default;
+  virtual Status Read(void* data, size_t bytes) = 0;
+  virtual uint64_t remaining() const = 0;
+  template <typename T>
+  Status Get(T* v) {
+    return Read(v, sizeof(T));
+  }
+};
+
+/// The region-record encoding of spill files and saved states: region
+/// int64, num_features int32, count int64, has_weights uint8, then the
+/// items, features, targets and optional weights as raw arrays.
+Status WriteRegionRecord(const RegionTrainingSet& set, ByteSink* out);
+
+/// Decodes one record into `out`, reusing its capacity. A negative count
+/// or arity, a bad has_weights byte, or a record longer than what `in` has
+/// left is kIoError before anything is allocated; so is an invalid weight.
+Status ReadRegionRecord(ByteSource* in, RegionTrainingSet* out);
 
 /// I/O accounting for a training-data source. The scan-based algorithms
 /// (RF tree, single-scan cube) are compared against the naive ones by the

@@ -1,16 +1,18 @@
-// Corruption hardening of the model/tree/cube loaders: truncated files and
-// byte flips fail with clean statuses (never a crash or a partial object),
-// version-mismatched headers are told apart from garbage, implausible counts
-// are rejected before allocation, and non-finite values round-trip.
+// Corruption hardening of the model/tree/cube/state loaders: truncated files
+// and byte flips fail with clean statuses (never a crash or a partial
+// object), version-mismatched headers are told apart from garbage,
+// implausible counts are rejected before allocation, non-finite values
+// round-trip, and the binary state survives a seeded mutation loop.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <string>
-
-#include <sstream>
 
 #include "common/random.h"
 #include "core/bellwether_cube.h"
@@ -19,7 +21,7 @@
 #include "core/model_io.h"
 #include "datagen/simulation.h"
 #include "regression/linear_model.h"
-#include "regression/suff_stats_io.h"
+#include "robust/checkpoint.h"
 #include "storage/training_data.h"
 #include "test_util.h"
 
@@ -29,13 +31,13 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 std::string ReadAll(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   return std::string((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
 }
 
 void WriteAll(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
+  std::ofstream out(path, std::ios::binary);
   out << content;
 }
 
@@ -221,62 +223,34 @@ TEST(ModelIoCorruptionTest, ByteFlipsNeverCrashTheLoader) {
   std::remove(path.c_str());
 }
 
-// ---- Packed sufficient-statistics wire format ----
-
-TEST(SuffStatsIoTest, PackedStatsRoundTripForEveryArity) {
-  Rng rng(123);
-  for (size_t p = 1; p <= 8; ++p) {
-    SCOPED_TRACE("p=" + std::to_string(p));
-    regression::RegressionSuffStats stats(p);
-    std::vector<double> x(p);
-    for (int i = 0; i < 40; ++i) {
-      for (double& v : x) v = rng.NextGaussian();
-      stats.Add(x.data(), rng.NextGaussian(), 1.0 + rng.NextDouble());
-    }
-    std::stringstream wire;
-    regression::WriteSuffStats(wire, stats);
-    auto back = regression::ReadSuffStats(wire);
-    ASSERT_TRUE(back.ok()) << back.status().ToString();
-    EXPECT_EQ(back->num_features(), p);
-    EXPECT_EQ(back->num_examples(), stats.num_examples());
-    EXPECT_EQ(back->sum_weights(), stats.sum_weights());
-    // The packed triangle round-trips bit for bit (%.17g).
-    EXPECT_EQ(back->packed_xtwx(), stats.packed_xtwx());
-  }
-}
-
-TEST(SuffStatsIoTest, TruncatedTriangleIsIoError) {
-  regression::RegressionSuffStats stats(4);
-  std::vector<double> x{1.0, 2.0, 3.0, 4.0};
-  stats.Add(x.data(), 1.5);
-  std::stringstream wire;
-  regression::WriteSuffStats(wire, stats);
-  std::string line = wire.str();
-  // Cut inside the packed-triangle section (after the 6th token: tag, p, n,
-  // sum_w, ytwy, first triangle value).
-  size_t pos = 0;
-  for (int tok = 0; tok < 6; ++tok) pos = line.find(' ', pos + 1);
-  std::stringstream cut(line.substr(0, pos));
-  auto r = regression::ReadSuffStats(cut);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
-}
-
-TEST(SuffStatsIoTest, ImplausibleCountsAreRejectedBeforeAllocation) {
-  // Arity beyond the 4096 bound: would be a ~8M-doubles triangle.
-  std::stringstream huge_p("stats 99999999 1 1 0\n");
-  auto rp = regression::ReadSuffStats(huge_p);
-  ASSERT_FALSE(rp.ok());
-  EXPECT_EQ(rp.status().code(), StatusCode::kIoError);
-
-  // Example count beyond 2^48: no real scan produces it — corruption.
-  std::stringstream huge_n("stats 1 999999999999999999 1 0 1 1\n");
-  auto rn = regression::ReadSuffStats(huge_n);
-  ASSERT_FALSE(rn.ok());
-  EXPECT_EQ(rn.status().code(), StatusCode::kIoError);
-}
-
 // ---- Bellwether state files ----
+
+// The raw little-endian bytes of a value, as the binary state stores it.
+template <typename T>
+std::string Bytes(const T& v) {
+  return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+// Rewrites the trailing checksum of a state image to match its body (the
+// bytes between the magic line and the last 8), so an edit reaches the
+// parser's own checks instead of failing the checksum.
+void ResealState(std::string* image) {
+  const size_t body = image->find('\n') + 1;
+  if (body == 0 || image->size() < body + sizeof(uint64_t)) return;
+  robust::FingerprintBuilder sum;
+  sum.Update(image->data() + body, image->size() - body - sizeof(uint64_t));
+  const uint64_t value = sum.value();
+  std::memcpy(image->data() + image->size() - sizeof(value), &value,
+              sizeof(value));
+}
+
+// Body offsets of the v4 header fields of a state saved without an item
+// mask (BellwetherState::SerializeTo in core/bellwether_state.h).
+constexpr size_t kNumFeaturesAt = 30;    // int32, after fingerprint + config
+constexpr size_t kNumRegionsAt = 42;     // int64, after delta_batches
+constexpr size_t kTouchedAt = 58;        // int64, after the first region id
+constexpr size_t kFirstSlotNAt = 70;     // int64, after the slot index
+constexpr size_t kFirstTriangleAt = 94;  // after n, sum_w and ytwy
 
 class StateFileTest : public ::testing::Test {
  protected:
@@ -333,29 +307,38 @@ TEST_F(StateFileTest, TruncationFailsCleanlyAtEveryBoundary) {
 }
 
 TEST_F(StateFileTest, NonPositiveWeightIsIoError) {
-  // A weighted state: every retained row carries an explicit weight.
+  // A weighted state: every retained row carries an explicit weight, one
+  // whose bit pattern no feature or target of the simulation has.
   BellwetherState::Options options;
   options.config.min_subset_size = 20;
   options.config.min_examples_per_model = 8;
   auto weighted = BellwetherState::Init(subsets_, options);
   ASSERT_TRUE(weighted.ok());
+  const double kWeight = 1.0 + 1.0 / 3.0;
   std::vector<storage::RegionTrainingSet> sets = sim_.sets;
-  for (auto& set : sets) set.weights.assign(set.num_examples(), 1.5);
+  for (auto& set : sets) set.weights.assign(set.num_examples(), kWeight);
   ASSERT_TRUE((*weighted)->ApplyDelta(std::move(sets)).ok());
   ASSERT_TRUE((*weighted)->Save(path_).ok());
   ASSERT_TRUE(LoadBellwetherState(path_, subsets_).ok());
 
-  std::string content = ReadAll(path_);
-  const size_t tag = content.find("\nweights ");
-  ASSERT_NE(tag, std::string::npos);
-  const size_t begin = tag + std::string("\nweights ").size();
-  const size_t end = content.find_first_of(" \n", begin);
-  ASSERT_NE(end, std::string::npos);
-  content.replace(begin, end - begin, "0");
-  WriteAll(path_, content);
-  auto r = LoadBellwetherState(path_, subsets_);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  const std::string content = ReadAll(path_);
+  // Three weights in a row: a statistic never repeats one value so.
+  const size_t weight_at =
+      content.find(Bytes(kWeight) + Bytes(kWeight) + Bytes(kWeight));
+  ASSERT_NE(weight_at, std::string::npos);
+  for (double bad : {0.0, -1.0, std::nan("")}) {
+    SCOPED_TRACE("weight " + std::to_string(bad));
+    std::string edited = content;
+    edited.replace(weight_at, sizeof(double), Bytes(bad));
+    ResealState(&edited);
+    WriteAll(path_, edited);
+    auto r = LoadBellwetherState(path_, subsets_);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+    EXPECT_EQ(r.status().message().find("checksum mismatch"),
+              std::string::npos)
+        << r.status().ToString();
+  }
 }
 
 TEST_F(StateFileTest, ByteFlipsNeverCrashTheLoader) {
@@ -368,6 +351,217 @@ TEST_F(StateFileTest, ByteFlipsNeverCrashTheLoader) {
     auto r = LoadBellwetherState(path_, subsets_);
     (void)r;  // any Status is acceptable; crashing is not
   }
+}
+
+TEST_F(StateFileTest, V3FileIsFailedPrecondition) {
+  // The retired text format: recognizably a state, but another version.
+  WriteAll(path_, "bellwether-state-v3\nfingerprint 1\nconfig 20 8 1 10 17\n");
+  auto r = LoadBellwetherState(path_, subsets_);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST_F(StateFileTest, ChecksumMismatchIsIoError) {
+  // A flipped bit in a retained target is well-formed to every other check.
+  std::string content = ReadAll(path_);
+  content[content.size() - 20] ^= 0x04;
+  WriteAll(path_, content);
+  auto r = LoadBellwetherState(path_, subsets_);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  EXPECT_NE(r.status().message().find("checksum mismatch"),
+            std::string::npos);
+}
+
+TEST_F(StateFileTest, TrailingBytesAreIoError) {
+  std::string content = ReadAll(path_);
+  // The body ends in the end marker ("BWSTEND4"), then the checksum.
+  ASSERT_EQ(content.substr(content.size() - 16, 8),
+            Bytes(uint64_t{0x34444E4554535742ULL}));
+  // Bytes after the end marker, resealed so that only the trailing-bytes
+  // check can object.
+  content.insert(content.size() - 8, "\x01\x02\x03");
+  ResealState(&content);
+  WriteAll(path_, content);
+  auto r = LoadBellwetherState(path_, subsets_);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  EXPECT_NE(r.status().message().find("trailing"), std::string::npos);
+}
+
+TEST_F(StateFileTest, TruncatedTriangleIsIoError) {
+  const std::string content = ReadAll(path_);
+  const size_t body = content.find('\n') + 1;
+  // Cut two doubles into the first touched slot's packed triangle.
+  WriteAll(path_, content.substr(0, body + kFirstTriangleAt + 16));
+  auto r = LoadBellwetherState(path_, subsets_);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+}
+
+TEST_F(StateFileTest, ImplausibleCountsAreRejectedBeforeAllocation) {
+  const std::string content = ReadAll(path_);
+  const size_t body = content.find('\n') + 1;
+  int32_t p = 0;
+  int64_t touched = 0;
+  std::memcpy(&p, content.data() + body + kNumFeaturesAt, sizeof(p));
+  std::memcpy(&touched, content.data() + body + kTouchedAt, sizeof(touched));
+  ASSERT_GT(p, 0);
+  ASSERT_GT(touched, 0);
+  const size_t slot_bytes =
+      sizeof(int32_t) + (3 + regression::RegressionSuffStats::PackedSize(p) +
+                         p) * sizeof(double);
+  const size_t first_rows_n =
+      body + kTouchedAt + sizeof(int64_t) + touched * slot_bytes +
+      sizeof(int64_t) + sizeof(int32_t);
+  // One little-endian field of `width` bytes set to `value`.
+  struct Edit {
+    const char* what;
+    size_t at;
+    size_t width;
+    int64_t value;
+  };
+  const Edit edits[] = {
+      // Past the arity bound: a ~5e15-double triangle.
+      {"arity 99999999", body + kNumFeaturesAt, 4, 99999999},
+      // Within the bound, but its 67 MB triangle is not in the file.
+      {"arity 4096", body + kNumFeaturesAt, 4, 4096},
+      // Beyond 2^48 examples: no real accumulation reaches it.
+      {"slot examples 2^60", body + kFirstSlotNAt, 8, int64_t{1} << 60},
+      {"regions 2^40", body + kNumRegionsAt, 8, int64_t{1} << 40},
+      {"touched slots 2^40", body + kTouchedAt, 8, int64_t{1} << 40},
+      // 2^40 retained rows would be terabytes; the file holds megabytes.
+      {"rows 2^40", first_rows_n, 8, int64_t{1} << 40},
+  };
+  for (const Edit& edit : edits) {
+    SCOPED_TRACE(edit.what);
+    std::string edited = content;
+    std::memcpy(edited.data() + edit.at, &edit.value, edit.width);
+    ResealState(&edited);
+    WriteAll(path_, edited);
+    auto r = LoadBellwetherState(path_, subsets_);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+    EXPECT_EQ(r.status().message().find("checksum mismatch"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+}
+
+// Synthetic weighted rows of arity p over the simulation's items: six
+// regions of 30 rows, intercept first.
+std::vector<storage::RegionTrainingSet> ArityRows(int32_t p, int32_t num_items,
+                                                  Rng& rng) {
+  std::vector<storage::RegionTrainingSet> sets;
+  for (int64_t region = 0; region < 6; ++region) {
+    storage::RegionTrainingSet set;
+    set.region = 3 * region + 1;
+    set.num_features = p;
+    for (int32_t r = 0; r < 30; ++r) {
+      set.items.push_back(static_cast<int32_t>(rng.NextUint64(num_items)));
+      set.features.push_back(1.0);
+      for (int32_t j = 1; j < p; ++j) {
+        set.features.push_back(rng.NextGaussian());
+      }
+      set.targets.push_back(rng.NextGaussian(5.0, 2.0));
+      set.weights.push_back(0.5 + rng.NextDouble());
+    }
+    sets.push_back(std::move(set));
+  }
+  return sets;
+}
+
+TEST_F(StateFileTest, RoundTripIsBitExactForEveryArity) {
+  Rng rng(123);
+  for (int32_t p = 1; p <= 8; ++p) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    BellwetherState::Options options;
+    options.config.min_subset_size = 20;
+    options.config.min_examples_per_model = 3;
+    auto state = BellwetherState::Init(subsets_, options);
+    ASSERT_TRUE(state.ok());
+    ASSERT_TRUE(
+        (*state)->ApplyDelta(ArityRows(p, subsets_->num_items(), rng)).ok());
+    ASSERT_TRUE((*state)->Save(path_).ok());
+    auto back = LoadBellwetherState(path_, subsets_);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    // Every statistic and row is stored as its raw bytes, so re-saving the
+    // reopened state reproduces the file exactly.
+    const std::string again = path_ + ".again";
+    ASSERT_TRUE((*back)->Save(again).ok());
+    EXPECT_EQ(ReadAll(again), ReadAll(path_));
+    std::remove(again.c_str());
+    // And both derive the same cube (CV on: the rows feed it too).
+    auto cube = (*state)->Finalize();
+    auto cube_back = (*back)->Finalize();
+    ASSERT_TRUE(cube.ok());
+    ASSERT_TRUE(cube_back.ok());
+    ASSERT_EQ(cube->cells().size(), cube_back->cells().size());
+    for (size_t i = 0; i < cube->cells().size(); ++i) {
+      EXPECT_EQ(cube->cells()[i].region, cube_back->cells()[i].region);
+      EXPECT_EQ(cube->cells()[i].model.beta(),
+                cube_back->cells()[i].model.beta());
+      EXPECT_EQ(cube->cells()[i].cv.rmse, cube_back->cells()[i].cv.rmse);
+    }
+  }
+}
+
+// Seeded mutation loop over a saved state. The case builds its own inputs
+// (a masked, weighted state). Every mutation must load or fail with a
+// status, never crash; the asan and ubsan presets give it teeth. Without a
+// reseal, any change must fail. With one (every other iteration), the
+// checksum matches whatever the parser reads, so the parser's own checks
+// must do the rejecting.
+TEST(StateMutationFuzzTest, EveryMutationLoadsOrFailsCleanly) {
+  datagen::SimulationDataset sim = MakeSim(91);
+  auto subsets = ItemSubsetSpace::Create(sim.items, sim.item_hierarchies);
+  ASSERT_TRUE(subsets.ok());
+  std::vector<uint8_t> mask((*subsets)->num_items(), 1);
+  for (size_t i = 0; i < mask.size(); i += 7) mask[i] = 0;
+  BellwetherState::Options options;
+  options.config.min_subset_size = 20;
+  options.config.min_examples_per_model = 8;
+  auto state = BellwetherState::Init(*subsets, options, &mask);
+  ASSERT_TRUE(state.ok());
+  const size_t num_sets = std::min<size_t>(12, sim.sets.size());
+  std::vector<storage::RegionTrainingSet> sets(sim.sets.begin(),
+                                               sim.sets.begin() + num_sets);
+  for (auto& set : sets) set.weights.assign(set.num_examples(), 1.25);
+  ASSERT_TRUE((*state)->ApplyDelta(std::move(sets)).ok());
+  const std::string path = UniqueTempPath("fuzz.bws");
+  ASSERT_TRUE((*state)->Save(path).ok());
+  const std::string base = ReadAll(path);
+  ASSERT_TRUE(LoadBellwetherState(path, *subsets).ok());
+
+  Rng rng(2024);
+  int loaded = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    SCOPED_TRACE("iteration " + std::to_string(iter));
+    std::string mutated = MutateBytes(base, rng);
+    const bool reseal = iter % 2 == 1;
+    if (reseal) ResealState(&mutated);
+    WriteAll(path, mutated);
+    auto r = LoadBellwetherState(path, *subsets);
+    if (mutated == base) continue;
+    if (!reseal) {
+      ASSERT_FALSE(r.ok()) << "unsealed change loaded";
+      continue;
+    }
+    if (!r.ok()) {
+      EXPECT_EQ(r.status().message().find("checksum mismatch"),
+              std::string::npos)
+          << r.status().ToString();
+      continue;
+    }
+    // A well-formed state with other values: deriving from it must not
+    // crash either.
+    ++loaded;
+    (void)(*r)->Finalize();
+    (void)(*r)->FinalizeSearch(BasicSearchOptions{});
+  }
+  // Resealed flips inside stored doubles parse; the loop must reach them.
+  EXPECT_GT(loaded, 0);
+  std::remove(path.c_str());
 }
 
 }  // namespace

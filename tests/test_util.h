@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "core/bellwether_cube.h"
 #include "core/bellwether_state.h"
 #include "storage/training_data.h"
@@ -46,6 +47,44 @@ inline Result<core::BellwetherCube> BuildCubeViaState(
       core::BellwetherState::Init(std::move(subsets), std::move(options)));
   BW_RETURN_IF_ERROR(state->ApplyDelta(std::move(sets)));
   return state->Finalize();
+}
+
+/// One seeded mutation of a file image, for the loader mutation loops (no
+/// libFuzzer here, so the loop is a plain deterministic test): flip 1-4
+/// bits, insert 1-16 random bytes, delete 1-16 bytes, truncate, or splice
+/// (join the prefix before one random point to the suffix from another,
+/// which drops or repeats a stretch). `base` must not be empty.
+inline std::string MutateBytes(const std::string& base, Rng& rng) {
+  std::string m = base;
+  const uint64_t size = base.size();
+  switch (rng.NextUint64(5)) {
+    case 0: {
+      const uint64_t flips = 1 + rng.NextUint64(4);
+      for (uint64_t i = 0; i < flips; ++i) {
+        m[rng.NextUint64(size)] ^= static_cast<char>(1u << rng.NextUint64(8));
+      }
+      break;
+    }
+    case 1: {
+      std::string bytes(1 + rng.NextUint64(16), '\0');
+      for (char& c : bytes) c = static_cast<char>(rng.NextUint64(256));
+      m.insert(rng.NextUint64(size + 1), bytes);
+      break;
+    }
+    case 2:
+      m.erase(rng.NextUint64(size), 1 + rng.NextUint64(16));
+      break;
+    case 3:
+      m.resize(rng.NextUint64(size));
+      break;
+    default: {
+      const uint64_t cut = rng.NextUint64(size + 1);
+      const uint64_t resume = rng.NextUint64(size + 1);
+      m = base.substr(0, cut) + base.substr(resume);
+      break;
+    }
+  }
+  return m;
 }
 
 }  // namespace bellwether
