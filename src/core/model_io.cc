@@ -183,7 +183,12 @@ Result<BellwetherTree> LoadBellwetherTree(const std::string& path,
     return Status::IoError("missing or implausible node count");
   }
   std::vector<TreeNode> nodes(num_nodes);
-  for (TreeNode& n : nodes) {
+  // The builder appends a node's children after it, so every child index
+  // is greater than its parent's and no node has two parents. Requiring
+  // both makes every walk from the root finite and linear in the nodes.
+  std::vector<uint8_t> has_parent(num_nodes, 0);
+  for (int64_t index = 0; index < num_nodes; ++index) {
+    TreeNode& n = nodes[index];
     int has_model = 0, is_numeric = 0;
     int64_t region = 0;
     if (!(in >> n.depth >> n.num_items >> has_model >> region)) {
@@ -215,6 +220,20 @@ Result<BellwetherTree> LoadBellwetherTree(const std::string& path,
       if (c < 0 || c >= num_nodes) {
         return Status::InvalidArgument("child index out of range");
       }
+      if (c <= index) {
+        return Status::InvalidArgument(
+            "child index must be greater than its parent's");
+      }
+      if (has_parent[c]) {
+        return Status::InvalidArgument("tree node has two parents");
+      }
+      has_parent[c] = 1;
+    }
+    if (!n.children.empty() &&
+        (n.split.column < 0 ||
+         static_cast<size_t>(n.split.column) >= feats->num_columns() ||
+         n.split.is_numeric != feats->IsNumeric(n.split.column))) {
+      return Status::InvalidArgument("split column out of range");
     }
   }
   if (nodes.empty()) return Status::InvalidArgument("empty tree");

@@ -1,5 +1,6 @@
 #include "core/multi_instance.h"
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -14,7 +15,8 @@ namespace bellwether::core {
 
 namespace {
 
-using olap::FkSetAgg;
+using olap::DenseKeyIds;
+using olap::KeyBitsAgg;
 using olap::NumericAgg;
 using table::AggFn;
 using table::Table;
@@ -84,11 +86,27 @@ Result<BagTrainingSet> GenerateBagTrainingSet(const BellwetherSpec& spec,
     key_indexes.emplace(q.reference, std::move(index));
   }
 
+  // Distinct-key features keep one bitmap per (item, cell) over the dense
+  // ids of their reference; query qi's words start at fk_offset[qi] of the
+  // instance's word vector.
+  const size_t num_queries = spec.regional_features.size();
+  std::unordered_map<std::string, DenseKeyIds> key_ids;
+  std::vector<const DenseKeyIds*> fk_ids(num_queries, nullptr);
+  std::vector<size_t> fk_offset(num_queries, 0);
+  size_t fk_words = 0;
+  for (size_t qi = 0; qi < num_queries; ++qi) {
+    const auto& q = spec.regional_features[qi];
+    if (q.kind != FeatureQuery::Kind::kFkDistinctMeasure) continue;
+    fk_ids[qi] = &key_ids.try_emplace(q.reference, key_indexes.at(q.reference))
+                      .first->second;
+    fk_offset[qi] = fk_words;
+    fk_words += static_cast<size_t>(fk_ids[qi]->words());
+  }
+
   // One pass over the fact table: route rows inside the region to their
   // finest cell and accumulate per-(item, cell) aggregates per feature.
-  const size_t num_queries = spec.regional_features.size();
   std::map<InstanceKey, std::vector<NumericAgg>> numeric;
-  std::map<InstanceKey, std::vector<FkSetAgg>> fk_sets;
+  std::map<InstanceKey, std::vector<KeyBitsAgg>> fk_bits;
   std::vector<NumericAgg> target_agg(items.size());
   olap::PointCoords point(space.num_dims());
   for (size_t r = 0; r < fact.num_rows(); ++r) {
@@ -111,7 +129,7 @@ Result<BagTrainingSet> GenerateBagTrainingSet(const BellwetherSpec& spec,
     const InstanceKey key{item, space.FinestCellOf(point)};
     auto& nagg = numeric[key];
     if (nagg.empty()) nagg.resize(num_queries);
-    auto fk_it = fk_sets.end();
+    auto fk_it = fk_bits.end();
     for (size_t qi = 0; qi < num_queries; ++qi) {
       const auto& q = spec.regional_features[qi];
       switch (q.kind) {
@@ -137,12 +155,13 @@ Result<BagTrainingSet> GenerateBagTrainingSet(const BellwetherSpec& spec,
         case FeatureQuery::Kind::kFkDistinctMeasure: {
           const auto& fkc = fact.ColumnByName(q.fk_column);
           if (fkc.IsNull(r)) break;
-          if (key_indexes.at(q.reference).count(fkc.Int64At(r)) == 0) break;
-          if (fk_it == fk_sets.end()) {
-            fk_it = fk_sets.try_emplace(key).first;
-            if (fk_it->second.empty()) fk_it->second.resize(num_queries);
+          const int32_t id = fk_ids[qi]->Find(fkc.Int64At(r));
+          if (id < 0) break;
+          if (fk_it == fk_bits.end()) {
+            fk_it = fk_bits.try_emplace(key).first;
+            if (fk_it->second.empty()) fk_it->second.resize(fk_words);
           }
-          fk_it->second[qi].Add(fkc.Int64At(r));
+          olap::SetKeyBit(&fk_it->second[fk_offset[qi]], id);
           break;
         }
       }
@@ -168,23 +187,27 @@ Result<BagTrainingSet> GenerateBagTrainingSet(const BellwetherSpec& spec,
     for (size_t qi = 0; qi < num_queries; ++qi) {
       const auto& q = spec.regional_features[qi];
       if (q.kind == FeatureQuery::Kind::kFkDistinctMeasure) {
-        auto fs = fk_sets.find(key);
+        auto fb = fk_bits.find(key);
         double v = 0.0;
-        if (fs != fk_sets.end() && !fs->second[qi].keys.empty()) {
+        if (fb != fk_bits.end()) {
+          const KeyBitsAgg* cell = &fb->second[fk_offset[qi]];
+          const int32_t words = fk_ids[qi]->words();
           if (q.fn == AggFn::kCount || q.fn == AggFn::kCountDistinct) {
-            v = static_cast<double>(fs->second[qi].keys.size());
+            int64_t keys = 0;
+            for (int32_t w = 0; w < words; ++w) {
+              keys += std::popcount(cell[w].bits);
+            }
+            v = static_cast<double>(keys);
           } else {
+            // Ascending dense ids visit the keys in ascending order.
             NumericAgg agg;
             const auto& measure =
                 spec.references.at(q.reference).table->ColumnByName(
                     q.measure_column);
-            const auto& index = key_indexes.at(q.reference);
-            for (int64_t fk : fs->second[qi].keys) {
-              auto hit = index.find(fk);
-              if (hit != index.end() && !measure.IsNull(hit->second)) {
-                agg.Add(measure.NumericAt(hit->second));
-              }
-            }
+            olap::ForEachKeyBit(cell, words, [&](int32_t id) {
+              const size_t row = fk_ids[qi]->RowAt(id);
+              if (!measure.IsNull(row)) agg.Add(measure.NumericAt(row));
+            });
             v = agg.Finish(q.fn).value_or(0.0);
           }
         }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -19,7 +20,8 @@ namespace bellwether::core {
 
 namespace {
 
-using olap::FkSetAgg;
+using olap::DenseKeyIds;
+using olap::KeyBitsAgg;
 using olap::NumericAgg;
 using olap::RegionId;
 using olap::RegionItemCube;
@@ -87,10 +89,6 @@ Status ValidateSpec(const BellwetherSpec& spec) {
       if (!spec.fact->schema().FindField(q.fk_column).has_value()) {
         return Status::NotFound("fact FK column missing: " + q.fk_column);
       }
-    }
-    if (q.kind == FeatureQuery::Kind::kFkDistinctMeasure &&
-        q.fn == AggFn::kAvg) {
-      // AVG over a key set is fine; nothing to reject. (kept for clarity)
     }
   }
   return Status::OK();
@@ -191,12 +189,15 @@ class TrainingDataGenerator {
     size_t fk_col;                                     // for reference kinds
     RegionItemCube<NumericAgg> cube;
   };
+  // The distinct-key cube has words columns per item: item i's bitmap in
+  // region r is the words consecutive cells starting at Cell(r, i * words).
   struct FkFeature {
     size_t query_index;
     size_t fk_col;
-    const std::unordered_map<int64_t, size_t>* ref_index;
+    const DenseKeyIds* ids;
     const table::Column* ref_measure;
-    RegionItemCube<FkSetAgg> cube;
+    int32_t words;
+    RegionItemCube<KeyBitsAgg> cube;
   };
 
   // ---- Stage: item dictionary and item-table features ----
@@ -264,15 +265,34 @@ class TrainingDataGenerator {
               {qi, 0, &key_indexes_.at(q.reference), measure, fk,
                RegionItemCube<NumericAgg>(&space_, num_items_)});
         } else {
-          fk_features_.push_back({qi, fk, &key_indexes_.at(q.reference),
-                                  measure,
-                                  RegionItemCube<FkSetAgg>(&space_,
-                                                           num_items_)});
+          const DenseKeyIds& ids =
+              key_ids_.try_emplace(q.reference, key_indexes_.at(q.reference))
+                  .first->second;
+          if (static_cast<int64_t>(num_items_) * ids.words() >
+              std::numeric_limits<int32_t>::max()) {
+            return Status::InvalidArgument(
+                "distinct-key domain too wide for the cube: " + q.reference);
+          }
+          fk_features_.push_back(
+              {qi, fk, &ids, measure, ids.words(),
+               RegionItemCube<KeyBitsAgg>(&space_, num_items_ * ids.words())});
         }
       }
     }
     count_cube_.emplace(&space_, num_items_);
     target_agg_.assign(num_items_, NumericAgg{});
+
+    int32_t fk_words = 0;
+    size_t cube_bytes = count_cube_->bytes();
+    for (const auto& nf : numeric_features_) cube_bytes += nf.cube.bytes();
+    for (const auto& ff : fk_features_) {
+      fk_words = std::max(fk_words, ff.words);
+      cube_bytes += ff.cube.bytes();
+    }
+    obs::DefaultMetrics().GetGauge(obs::kMDatagenFkBitmapWords)->Set(fk_words);
+    obs::DefaultMetrics()
+        .GetGauge(obs::kMDatagenCubeCellBytes)
+        ->Set(static_cast<double>(cube_bytes));
     return Status::OK();
   }
 
@@ -391,9 +411,10 @@ class TrainingDataGenerator {
       for (size_t k = 0; k < fk_features_.size(); ++k) {
         const Int64ColumnView& fkv = ff_fk_views[k];
         if (fkv.IsNull(r)) continue;
-        const int64_t fk = fkv.At(r);
-        if (fk_features_[k].ref_index->count(fk) == 0) continue;
-        fk_features_[k].cube.Cell(base, item).Add(fk);
+        auto& ff = fk_features_[k];
+        const int32_t id = ff.ids->Find(fkv.At(r));
+        if (id < 0) continue;
+        olap::SetKeyBit(&ff.cube.Cell(base, item * ff.words), id);
       }
     }
     return Status::OK();
@@ -493,16 +514,17 @@ class TrainingDataGenerator {
       for (size_t qi = 0; qi < spec_.regional_features.size(); ++qi) {
         const auto& q = spec_.regional_features[qi];
         if (q.kind == FeatureQuery::Kind::kFkDistinctMeasure) {
+          // Ascending dense ids are ascending keys, so the values are
+          // aggregated in key order.
           const auto& ff = fk_features_[ff_i++];
-          const auto& cell = ff.cube.Cell(reg, i);
           fk_vals.clear();
-          for (int64_t fk : cell.keys) {
-            auto it = ff.ref_index->find(fk);
-            BW_DCHECK(it != ff.ref_index->end());
-            if (!ff.ref_measure->IsNull(it->second)) {
-              fk_vals.push_back(ff.ref_measure->NumericAt(it->second));
-            }
-          }
+          olap::ForEachKeyBit(
+              &ff.cube.Cell(reg, i * ff.words), ff.words, [&](int32_t id) {
+                const size_t row = ff.ids->RowAt(id);
+                if (!ff.ref_measure->IsNull(row)) {
+                  fk_vals.push_back(ff.ref_measure->NumericAt(row));
+                }
+              });
           set.features.push_back(AggregateValues(q.fn, fk_vals));
         } else {
           const auto& nf = numeric_features_[nf_i++];
@@ -571,6 +593,8 @@ class TrainingDataGenerator {
 
   std::unordered_map<std::string, std::unordered_map<int64_t, size_t>>
       key_indexes_;
+  // Dense key ids of the references the FK-distinct features use.
+  std::unordered_map<std::string, DenseKeyIds> key_ids_;
   std::vector<NumericFeature> numeric_features_;
   std::vector<FkFeature> fk_features_;
   std::optional<RegionItemCube<NumericAgg>> count_cube_;

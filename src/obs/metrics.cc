@@ -237,6 +237,12 @@ void RegisterStandardMetrics(MetricsRegistry* registry) {
   registry->GetGauge(kMDatagenPeakResidentBytes,
                      "peak resident training-set bytes held by a "
                      "TrainingDataSink during generation");
+  registry->GetGauge(kMDatagenFkBitmapWords,
+                     "widest distinct-key bitmap cell, in 64-bit words, of "
+                     "the last training data generation");
+  registry->GetGauge(kMDatagenCubeCellBytes,
+                     "cube cell bytes allocated by the last training data "
+                     "generation");
   registry->GetCounter(kMTreeNaiveScans,
                        "full passes over the training data by the naive "
                        "tree builder");

@@ -189,6 +189,14 @@ inline constexpr std::string_view kMDatagenTrainingRowsEmitted =
 /// is bounded by memory_budget_bytes + the largest single region set.
 inline constexpr std::string_view kMDatagenPeakResidentBytes =
     "bellwether_datagen_peak_resident_bytes";
+/// Widest distinct-key bitmap cell, in 64-bit words, over the FK-distinct
+/// features of the last generation (0 when it had none).
+inline constexpr std::string_view kMDatagenFkBitmapWords =
+    "bellwether_datagen_fk_bitmap_words";
+/// Bytes of (region, item) cube cells the last generation allocated, over
+/// the row-count cube and every feature cube.
+inline constexpr std::string_view kMDatagenCubeCellBytes =
+    "bellwether_datagen_cube_cell_bytes";
 
 // Tree builders (core/bellwether_tree.cc).
 inline constexpr std::string_view kMTreeNaiveScans =

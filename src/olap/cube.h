@@ -2,11 +2,11 @@
 #define BELLWETHER_OLAP_CUBE_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <set>
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
@@ -14,14 +14,6 @@
 #include "common/check.h"
 #include "olap/region.h"
 #include "table/ops.h"
-
-// Runtime-dispatched AVX2 merge kernels (GCC/Clang function target
-// attributes; no global -march change, scalar fallback kept for other
-// builds and pre-AVX2 hosts).
-#if defined(__x86_64__) && defined(__GNUC__)
-#define BW_CUBE_X86_DISPATCH 1
-#include <immintrin.h>
-#endif
 
 namespace bellwether::olap {
 
@@ -71,200 +63,86 @@ struct NumericAgg {
   }
 };
 
-/// Accumulator for the pi_FK feature queries (paper §4.1, third form): the
-/// set of distinct foreign keys an item references within a region. Set
-/// union is distributive, so rollup stays exact even when the same key
-/// appears in several child cells.
-struct FkSetAgg {
-  std::set<int64_t> keys;
+/// One 64-bit word of a distinct-key bitmap, the accumulator of the pi_FK
+/// feature queries (paper §4.1, third form): the set of distinct foreign
+/// keys an item references within a region. Keys are mapped to dense ids
+/// (DenseKeyIds); a cell over K keys is KeyBitsWords(K) consecutive words,
+/// and bit b of word w marks id 64 * w + b. Union is a word-wise OR, so the
+/// aggregate is distributive: rollup stays exact even when the same key
+/// appears in several child cells, and merging allocates nothing.
+struct KeyBitsAgg {
+  uint64_t bits = 0;
 
-  void Add(int64_t fk) { keys.insert(fk); }
-  void Merge(const FkSetAgg& o) { keys.insert(o.keys.begin(), o.keys.end()); }
-  bool empty() const { return keys.empty(); }
+  void Merge(const KeyBitsAgg& o) { bits |= o.bits; }
+  bool empty() const { return bits == 0; }
+};
+
+/// Words per bitmap cell over `num_keys` dense ids: ceil(num_keys / 64), and
+/// at least one so an empty domain still has a (never set) cell.
+inline int32_t KeyBitsWords(int32_t num_keys) {
+  return std::max<int32_t>(1, (num_keys + 63) / 64);
+}
+
+/// Sets dense id `id` in the bitmap cell whose first word is `cell`.
+inline void SetKeyBit(KeyBitsAgg* cell, int32_t id) {
+  cell[id >> 6].bits |= uint64_t{1} << (id & 63);
+}
+
+/// Calls f(id) for every id set in the `words`-word cell at `cell`, in
+/// ascending id order.
+template <typename F>
+inline void ForEachKeyBit(const KeyBitsAgg* cell, int32_t words, F&& f) {
+  for (int32_t w = 0; w < words; ++w) {
+    for (uint64_t b = cell[w].bits; b != 0; b &= b - 1) {
+      f(w * 64 + std::countr_zero(b));
+    }
+  }
+}
+
+/// Dense ids over a reference table's keys: a key's id is its rank in
+/// ascending key order. Walking a bitmap's ids in ascending order therefore
+/// visits the keys in ascending order too.
+class DenseKeyIds {
+ public:
+  /// From a key -> reference-row index (table::BuildKeyIndex).
+  explicit DenseKeyIds(const std::unordered_map<int64_t, size_t>& key_rows) {
+    std::vector<std::pair<int64_t, size_t>> sorted(key_rows.begin(),
+                                                   key_rows.end());
+    std::sort(sorted.begin(), sorted.end());
+    ids_.reserve(sorted.size());
+    rows_.reserve(sorted.size());
+    for (const auto& [key, row] : sorted) {
+      ids_.emplace(key, static_cast<int32_t>(rows_.size()));
+      rows_.push_back(row);
+    }
+  }
+
+  /// Dense id of `key`, or -1 if the reference has no such key.
+  int32_t Find(int64_t key) const {
+    const auto it = ids_.find(key);
+    return it == ids_.end() ? -1 : it->second;
+  }
+  /// Reference row of dense id `id`.
+  size_t RowAt(int32_t id) const { return rows_[id]; }
+  int32_t size() const { return static_cast<int32_t>(rows_.size()); }
+  /// Words per bitmap cell over this domain.
+  int32_t words() const { return KeyBitsWords(size()); }
+
+ private:
+  std::unordered_map<int64_t, int32_t> ids_;
+  std::vector<size_t> rows_;
 };
 
 namespace detail {
 
-/// Merges a contiguous run of `n` accumulators cell-by-cell. Generic
-/// fallback for accumulators with indirection (e.g. FkSetAgg): skip empty
-/// sources, virtual-shaped Merge per cell.
+/// Merges a contiguous run of `n` accumulators cell-by-cell, skipping empty
+/// sources (for KeyBitsAgg, a word-wise OR).
 template <typename Acc>
 inline void MergeAccRun(Acc* dst, const Acc* src, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     if (!src[i].empty()) dst[i].Merge(src[i]);
   }
 }
-
-#if defined(BW_CUBE_X86_DISPATCH)
-
-inline const bool kCubeHasAvx2 = __builtin_cpu_supports("avx2");
-inline const bool kCubeHasAvx512 = __builtin_cpu_supports("avx512f");
-
-/// AVX-512 twin of the AVX2 kernels below: two cells per 512-bit vector,
-/// count lanes 1 and 5, min lanes 2 and 6, max lanes 3 and 7. Same
-/// bit-identical lane semantics (min/max take the second operand on ties,
-/// matching std::min(d, s) / std::max(d, s)).
-__attribute__((target("avx512f"))) inline __m512d MergeCellsAvx512(
-    __m512d d, __m512d s) {
-  const __m512d fsum = _mm512_add_pd(d, s);
-  const __m512d isum = _mm512_castsi512_pd(
-      _mm512_add_epi64(_mm512_castpd_si512(d), _mm512_castpd_si512(s)));
-  const __m512d mn = _mm512_min_pd(s, d);
-  const __m512d mx = _mm512_max_pd(s, d);
-  __m512d r = _mm512_mask_blend_pd(0b00100010, fsum, isum);
-  r = _mm512_mask_blend_pd(0b01000100, r, mn);
-  return _mm512_mask_blend_pd(0b10001000, r, mx);
-}
-
-__attribute__((target("avx512f"))) inline void MergeAccRunAvx512(
-    NumericAgg* dst, const NumericAgg* src, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const double* sp = reinterpret_cast<const double*>(src + i);
-    const __m512d s0 = _mm512_loadu_pd(sp);
-    const __m512d s1 = _mm512_loadu_pd(sp + 8);
-    const __m512i any = _mm512_or_si512(_mm512_castpd_si512(s0),
-                                        _mm512_castpd_si512(s1));
-    if (_mm512_test_epi64_mask(any, _mm512_set_epi64(0, 0, -1, 0, 0, 0, -1,
-                                                     0)) == 0) {
-      continue;
-    }
-    double* dp = reinterpret_cast<double*>(dst + i);
-    _mm512_storeu_pd(dp, MergeCellsAvx512(_mm512_loadu_pd(dp), s0));
-    _mm512_storeu_pd(dp + 8, MergeCellsAvx512(_mm512_loadu_pd(dp + 8), s1));
-  }
-  for (; i < n; ++i) {
-    if (src[i].count != 0) dst[i].Merge(src[i]);
-  }
-}
-
-__attribute__((target("avx512f"))) inline void MergeAccRunFanInAvx512(
-    NumericAgg* dst, const NumericAgg* const* srcs, size_t k, size_t n) {
-  const __m512i count_lanes =
-      _mm512_set_epi64(0, 0, -1, 0, 0, 0, -1, 0);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    double* dp = reinterpret_cast<double*>(dst + i);
-    __m512d d0 = _mm512_setzero_pd(), d1 = d0;
-    bool loaded = false;
-    for (size_t j = 0; j < k; ++j) {
-      const double* sp = reinterpret_cast<const double*>(srcs[j] + i);
-      const __m512d s0 = _mm512_loadu_pd(sp);
-      const __m512d s1 = _mm512_loadu_pd(sp + 8);
-      const __m512i any = _mm512_or_si512(_mm512_castpd_si512(s0),
-                                          _mm512_castpd_si512(s1));
-      if (_mm512_test_epi64_mask(any, count_lanes) == 0) continue;
-      if (!loaded) {
-        d0 = _mm512_loadu_pd(dp);
-        d1 = _mm512_loadu_pd(dp + 8);
-        loaded = true;
-      }
-      d0 = MergeCellsAvx512(d0, s0);
-      d1 = MergeCellsAvx512(d1, s1);
-    }
-    if (loaded) {
-      _mm512_storeu_pd(dp, d0);
-      _mm512_storeu_pd(dp + 8, d1);
-    }
-  }
-  for (; i < n; ++i) {
-    for (size_t j = 0; j < k; ++j) {
-      if (srcs[j][i].count != 0) dst[i].Merge(srcs[j][i]);
-    }
-  }
-}
-
-/// One NumericAgg cell is exactly one 256-bit vector [sum, count, min, max]
-/// (static_asserts below). Merging two cells is lane-parallel: fp add for
-/// the sum lane, 64-bit integer add for the count lane, fp min/max for the
-/// extrema lanes, blended back together by immediate masks. min_pd(s, d)
-/// matches std::min(d, s) exactly (second operand on ties), ditto max, so
-/// the result is bit-identical to the scalar merge.
-__attribute__((target("avx2"))) inline __m256d MergeCellAvx2(__m256d d,
-                                                             __m256d s) {
-  const __m256d fsum = _mm256_add_pd(d, s);
-  const __m256d isum = _mm256_castsi256_pd(
-      _mm256_add_epi64(_mm256_castpd_si256(d), _mm256_castpd_si256(s)));
-  const __m256d mn = _mm256_min_pd(s, d);
-  const __m256d mx = _mm256_max_pd(s, d);
-  __m256d r = _mm256_blend_pd(fsum, isum, 0b0010);
-  r = _mm256_blend_pd(r, mn, 0b0100);
-  return _mm256_blend_pd(r, mx, 0b1000);
-}
-
-__attribute__((target("avx2"))) inline void MergeAccRunAvx2(
-    NumericAgg* dst, const NumericAgg* src, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const double* sp = reinterpret_cast<const double*>(src + i);
-    const __m256d s0 = _mm256_loadu_pd(sp);
-    const __m256d s1 = _mm256_loadu_pd(sp + 4);
-    const __m256d s2 = _mm256_loadu_pd(sp + 8);
-    const __m256d s3 = _mm256_loadu_pd(sp + 12);
-    // Lane 1 of the OR of the four cell vectors is the OR of their counts:
-    // zero means the whole group is empty and dst is never touched.
-    const __m256i any = _mm256_or_si256(
-        _mm256_or_si256(_mm256_castpd_si256(s0), _mm256_castpd_si256(s1)),
-        _mm256_or_si256(_mm256_castpd_si256(s2), _mm256_castpd_si256(s3)));
-    if (_mm256_extract_epi64(any, 1) == 0) continue;
-    double* dp = reinterpret_cast<double*>(dst + i);
-    _mm256_storeu_pd(dp, MergeCellAvx2(_mm256_loadu_pd(dp), s0));
-    _mm256_storeu_pd(dp + 4, MergeCellAvx2(_mm256_loadu_pd(dp + 4), s1));
-    _mm256_storeu_pd(dp + 8, MergeCellAvx2(_mm256_loadu_pd(dp + 8), s2));
-    _mm256_storeu_pd(dp + 12, MergeCellAvx2(_mm256_loadu_pd(dp + 12), s3));
-  }
-  for (; i < n; ++i) {
-    if (src[i].count != 0) dst[i].Merge(src[i]);
-  }
-}
-
-__attribute__((target("avx2"))) inline void MergeAccRunFanInAvx2(
-    NumericAgg* dst, const NumericAgg* const* srcs, size_t k, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    double* dp = reinterpret_cast<double*>(dst + i);
-    // The four dst vectors are loaded lazily on the first live source and
-    // stay in registers across all k sources — one dst read + write per
-    // group total, instead of one per source.
-    __m256d d0 = _mm256_setzero_pd(), d1 = d0, d2 = d0, d3 = d0;
-    bool loaded = false;
-    for (size_t j = 0; j < k; ++j) {
-      const double* sp = reinterpret_cast<const double*>(srcs[j] + i);
-      const __m256d s0 = _mm256_loadu_pd(sp);
-      const __m256d s1 = _mm256_loadu_pd(sp + 4);
-      const __m256d s2 = _mm256_loadu_pd(sp + 8);
-      const __m256d s3 = _mm256_loadu_pd(sp + 12);
-      const __m256i any = _mm256_or_si256(
-          _mm256_or_si256(_mm256_castpd_si256(s0), _mm256_castpd_si256(s1)),
-          _mm256_or_si256(_mm256_castpd_si256(s2), _mm256_castpd_si256(s3)));
-      if (_mm256_extract_epi64(any, 1) == 0) continue;
-      if (!loaded) {
-        d0 = _mm256_loadu_pd(dp);
-        d1 = _mm256_loadu_pd(dp + 4);
-        d2 = _mm256_loadu_pd(dp + 8);
-        d3 = _mm256_loadu_pd(dp + 12);
-        loaded = true;
-      }
-      d0 = MergeCellAvx2(d0, s0);
-      d1 = MergeCellAvx2(d1, s1);
-      d2 = MergeCellAvx2(d2, s2);
-      d3 = MergeCellAvx2(d3, s3);
-    }
-    if (loaded) {
-      _mm256_storeu_pd(dp, d0);
-      _mm256_storeu_pd(dp + 4, d1);
-      _mm256_storeu_pd(dp + 8, d2);
-      _mm256_storeu_pd(dp + 12, d3);
-    }
-  }
-  for (; i < n; ++i) {
-    for (size_t j = 0; j < k; ++j) {
-      if (srcs[j][i].count != 0) dst[i].Merge(srcs[j][i]);
-    }
-  }
-}
-
-#endif  // BW_CUBE_X86_DISPATCH
 
 /// NumericAgg is a flat POD (four scalar fields, no indirection), and
 /// merging an *empty* NumericAgg is the identity: sum += 0, count += 0,
@@ -278,15 +156,6 @@ __attribute__((target("avx2"))) inline void MergeAccRunFanInAvx2(
 /// skips ~85% of dst read+write traffic and still amortizes the branch.
 inline void MergeAccRun(NumericAgg* dst, const NumericAgg* src, size_t n) {
   static_assert(std::is_trivially_copyable_v<NumericAgg>);
-  static_assert(sizeof(NumericAgg) == 32);
-  static_assert(offsetof(NumericAgg, sum) == 0 &&
-                offsetof(NumericAgg, count) == 8 &&
-                offsetof(NumericAgg, min) == 16 &&
-                offsetof(NumericAgg, max) == 24);
-#if defined(BW_CUBE_X86_DISPATCH)
-  if (kCubeHasAvx512) return MergeAccRunAvx512(dst, src, n);
-  if (kCubeHasAvx2) return MergeAccRunAvx2(dst, src, n);
-#endif
   constexpr size_t kGroup = 4;
   size_t i = 0;
   for (; i + kGroup <= n; i += kGroup) {
@@ -319,10 +188,6 @@ inline void MergeAccRunFanIn(Acc* dst, const Acc* const* srcs, size_t k,
 
 inline void MergeAccRunFanIn(NumericAgg* dst, const NumericAgg* const* srcs,
                              size_t k, size_t n) {
-#if defined(BW_CUBE_X86_DISPATCH)
-  if (kCubeHasAvx512) return MergeAccRunFanInAvx512(dst, srcs, k, n);
-  if (kCubeHasAvx2) return MergeAccRunFanInAvx2(dst, srcs, k, n);
-#endif
   constexpr size_t kGroup = 4;
   size_t i = 0;
   for (; i + kGroup <= n; i += kGroup) {
@@ -400,6 +265,8 @@ class RegionItemCube {
 
   int32_t num_items() const { return num_items_; }
   const RegionSpace& space() const { return *space_; }
+  /// Bytes held by the cells: NumRegions * num_items * sizeof(Acc).
+  size_t bytes() const { return cells_.size() * sizeof(Acc); }
 
   /// Cell for the *base* region of a fact point; use during the fill phase.
   Acc& BaseCell(const PointCoords& point, int32_t item) {

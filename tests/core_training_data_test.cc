@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <optional>
+#include <set>
+#include <vector>
 
+#include "common/random.h"
 #include "core/training_data_gen.h"
+#include "obs/metrics.h"
 #include "olap/cost.h"
 #include "olap/dimension.h"
 #include "olap/region.h"
@@ -194,6 +200,140 @@ TEST(TrainingDataGenTest, CubePathMatchesNaiveQueriesEverywhere) {
       EXPECT_NEAR(naive->targets[i], set.targets[i], 1e-9);
     }
   }
+}
+
+// A reference table of 130 keys, so a distinct-key bitmap spans three words
+// and ids cross word boundaries. Keys include negatives and sit in shuffled
+// row order; some measures are null, and some fact rows carry a null or an
+// unknown foreign key.
+struct WideKeyDb : TinyDb {
+  static constexpr int64_t kNumKeys = 130;
+  Table wide{Schema({{"Key", DataType::kInt64}, {"Size", DataType::kDouble}})};
+  // Fact rows: (time, location, item, key or null, profit).
+  struct Row {
+    int64_t t, loc, item;
+    std::optional<int64_t> key;
+  };
+  std::vector<Row> rows;
+
+  WideKeyDb() {
+    fact = Table(Schema({{"Time", DataType::kInt64},
+                         {"Location", DataType::kInt64},
+                         {"ItemID", DataType::kInt64},
+                         {"Key", DataType::kInt64},
+                         {"Profit", DataType::kDouble}}));
+    Rng rng(130);
+    std::vector<int64_t> keys;
+    for (int64_t k = 0; k < kNumKeys; ++k) keys.push_back(3 * k - 200);
+    rng.Shuffle(&keys);
+    for (size_t r = 0; r < keys.size(); ++r) {
+      wide.AppendRow({Value(keys[r]), r % 9 == 4
+                                          ? Value::Null()
+                                          : Value(rng.NextDouble(0.0, 10.0))});
+    }
+    const NodeId locs[] = {wi, md};
+    for (int i = 0; i < 600; ++i) {
+      Row row{1 + static_cast<int64_t>(rng.NextUint64(2)),
+              static_cast<int64_t>(locs[rng.NextUint64(2)]),
+              1 + static_cast<int64_t>(rng.NextUint64(3)), std::nullopt};
+      const uint64_t pick = rng.NextUint64(20);
+      if (pick == 0) {
+        row.key = 5000 + static_cast<int64_t>(rng.NextUint64(10));  // unknown
+      } else if (pick != 1) {  // pick == 1 leaves the key null
+        row.key = keys[rng.NextUint64(keys.size())];
+      }
+      rows.push_back(row);
+      fact.AppendRow({Value(row.t), Value(row.loc), Value(row.item),
+                      row.key ? Value(*row.key) : Value::Null(),
+                      Value(rng.NextDouble(-5.0, 5.0))});
+    }
+  }
+
+  BellwetherSpec MakeWideSpec() const {
+    BellwetherSpec spec = MakeSpec(100.0, 0.0);
+    spec.references.clear();
+    spec.references["wide"] = ReferenceTable{&wide, "Key"};
+    spec.regional_features = {
+        {FeatureQuery::Kind::kFkDistinctMeasure, AggFn::kSum, "DistinctSum",
+         "Size", "wide", "Key"},
+        {FeatureQuery::Kind::kFkDistinctMeasure, AggFn::kCount,
+         "DistinctCount", "Size", "wide", "Key"},
+        {FeatureQuery::Kind::kFkDistinctMeasure, AggFn::kMax, "DistinctMax",
+         "Size", "wide", "Key"},
+        {FeatureQuery::Kind::kReferenceMeasure, AggFn::kSum, "RowSum", "Size",
+         "wide", "Key"},
+    };
+    return spec;
+  }
+};
+
+TEST(TrainingDataGenTest, WideKeyDomainMatchesNaiveQueries) {
+  WideKeyDb db;
+  const BellwetherSpec spec = db.MakeWideSpec();
+  auto data = GenerateTrainingDataInMemory(spec);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  ASSERT_EQ(data->memory_sets()->size(),
+            static_cast<size_t>(db.space->NumRegions()));
+  const auto& ids = db.wide.ColumnByName("Key");
+  const auto& sizes = db.wide.ColumnByName("Size");
+  std::map<int64_t, size_t> row_of_key;  // ascending keys
+  for (size_t r = 0; r < db.wide.num_rows(); ++r) {
+    row_of_key[ids.Int64At(r)] = r;
+  }
+  for (const auto& set : *data->memory_sets()) {
+    SCOPED_TRACE("region " + db.space->RegionLabel(set.region));
+    auto naive = GenerateRegionTrainingSetNaive(spec, set.region);
+    ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+    ASSERT_EQ(naive->items, set.items);
+    ASSERT_EQ(naive->num_features, set.num_features);
+    for (size_t i = 0; i < set.features.size(); ++i) {
+      EXPECT_NEAR(naive->features[i], set.features[i], 1e-9)
+          << "feature flat index " << i;
+    }
+    // The distinct-key SUM adds the measures in ascending key order, bit
+    // for bit.
+    for (size_t e = 0; e < set.items.size(); ++e) {
+      std::set<int64_t> keys;
+      for (const auto& row : db.rows) {
+        if (row.item != set.items[e] + 1 || !row.key ||
+            !row_of_key.count(*row.key) ||
+            !db.space->RegionContainsPoint(
+                set.region, {static_cast<int32_t>(row.t),
+                             static_cast<int32_t>(row.loc)})) {
+          continue;
+        }
+        keys.insert(*row.key);
+      }
+      double sum = 0.0;
+      for (int64_t key : keys) {
+        const size_t r = row_of_key.at(key);
+        if (!sizes.IsNull(r)) sum += sizes.NumericAt(r);
+      }
+      EXPECT_EQ(set.row(e)[2], sum) << "item " << set.items[e];
+    }
+  }
+}
+
+TEST(TrainingDataGenTest, GaugesReportBitmapWidthAndCubeBytes) {
+  WideKeyDb db;
+  ASSERT_TRUE(GenerateTrainingDataInMemory(db.MakeWideSpec()).ok());
+  auto& metrics = obs::DefaultMetrics();
+  EXPECT_EQ(metrics.GetGauge(obs::kMDatagenFkBitmapWords)->Value(), 3.0);
+  // Per (region, item): the row-count cube and the RowSum cube hold one
+  // 32-byte NumericAgg each, and the three FK-distinct cubes three words
+  // each.
+  const double cells = static_cast<double>(db.space->NumRegions()) * 3;
+  EXPECT_EQ(metrics.GetGauge(obs::kMDatagenCubeCellBytes)->Value(),
+            cells * (2 * 32 + 3 * 3 * 8));
+  // A spec without FK-distinct features reads zero words.
+  BellwetherSpec spec = db.MakeWideSpec();
+  spec.regional_features.resize(1);
+  spec.regional_features[0] = {FeatureQuery::Kind::kFactMeasure, AggFn::kSum,
+                               "Profit", "Profit", "", ""};
+  ASSERT_TRUE(GenerateTrainingDataInMemory(spec).ok());
+  EXPECT_EQ(metrics.GetGauge(obs::kMDatagenFkBitmapWords)->Value(), 0.0);
+  EXPECT_EQ(metrics.GetGauge(obs::kMDatagenCubeCellBytes)->Value(),
+            cells * 2 * 32);
 }
 
 TEST(TrainingDataGenTest, CellSetTrainingSetMatchesRegionWhenEquivalent) {

@@ -1,4 +1,4 @@
-// Randomized property tests pinning the optimized kernels of the SIMD/
+// Randomized property tests pinning the optimized kernels of the
 // cache-conscious pass to retained reference implementations:
 //
 //  * RegressionSuffStats packed Add / batched AddBatch vs a naive full-
@@ -9,6 +9,8 @@
 //    equality.
 //  * Merge and the flat NumericAgg MergeSlice run: pure same-order
 //    additions, compared exactly.
+//  * The KeyBitsAgg run (distinct-key bitmaps): word-wise OR, compared
+//    with a std::set union.
 //  * The packed in-place normal-equation solve vs the dense Cholesky it
 //    replaced (RefSolveSpd): same operations in the same order, compared
 //    bit for bit, including the ridge and mean-fallback tiers.
@@ -20,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 #include <vector>
 
 #include "common/random.h"
@@ -482,25 +485,35 @@ TEST(FlatMergeRunTest, NumericAggRunMatchesPerCellReferenceExactly) {
   }
 }
 
-TEST(FlatMergeRunTest, FkSetAggRunMatchesReference) {
+// Key bitmaps against a std::set union oracle: 100 cells of three words
+// (ids 0..149, so bits land in every word), merged as one flat run.
+TEST(FlatMergeRunTest, KeyBitsAggRunMatchesReference) {
   Rng rng(43);
   const size_t n = 100;
-  std::vector<olap::FkSetAgg> src(n), dst(n);
+  constexpr int32_t kWords = 3;
+  std::vector<olap::KeyBitsAgg> src(n * kWords), dst(n * kWords);
+  std::vector<std::set<int32_t>> expect(n);
   for (size_t i = 0; i < n; ++i) {
     const int k = static_cast<int>(rng.NextUint64(5));
     for (int j = 0; j < k; ++j) {
-      src[i].Add(static_cast<int64_t>(rng.NextUint64(20)));
+      const auto id = static_cast<int32_t>(rng.NextUint64(150));
+      olap::SetKeyBit(&src[i * kWords], id);
+      expect[i].insert(id);
     }
     if (rng.NextDouble() < 0.5) {
-      dst[i].Add(static_cast<int64_t>(rng.NextUint64(20)));
+      const auto id = static_cast<int32_t>(rng.NextUint64(150));
+      olap::SetKeyBit(&dst[i * kWords], id);
+      expect[i].insert(id);
     }
   }
-  std::vector<olap::FkSetAgg> expect = dst;
+  olap::detail::MergeAccRun(dst.data(), src.data(), n * kWords);
   for (size_t i = 0; i < n; ++i) {
-    if (!src[i].empty()) expect[i].Merge(src[i]);
+    std::vector<int32_t> got;
+    olap::ForEachKeyBit(&dst[i * kWords], kWords,
+                        [&got](int32_t id) { got.push_back(id); });
+    EXPECT_EQ(got, std::vector<int32_t>(expect[i].begin(), expect[i].end()))
+        << "cell " << i;
   }
-  olap::detail::MergeAccRun(dst.data(), src.data(), n);
-  for (size_t i = 0; i < n; ++i) EXPECT_EQ(dst[i].keys, expect[i].keys);
 }
 
 // End-to-end rollup oracle: aggregate every draw directly into every

@@ -223,6 +223,84 @@ TEST(ModelIoCorruptionTest, ByteFlipsNeverCrashTheLoader) {
   std::remove(path.c_str());
 }
 
+// A small saved tree over MakeSim(seed), as file bytes.
+std::string SavedTreeImage(const datagen::SimulationDataset& sim,
+                           const std::string& path) {
+  storage::MemoryTrainingData source(sim.sets);
+  TreeBuildConfig config;
+  config.split_columns = sim.feature_columns;
+  config.min_items = 40;
+  config.max_depth = 3;
+  config.min_examples_per_model = 10;
+  auto tree = BuildBellwetherTreeRainForest(&source, sim.items, config);
+  EXPECT_TRUE(tree.ok());
+  EXPECT_GT(tree->nodes().size(), 1u);
+  EXPECT_TRUE(SaveBellwetherTree(*tree, path).ok());
+  return ReadAll(path);
+}
+
+// Replaces the children line of node `node` in a saved tree image. A node
+// is four lines (header, model, split, children) after the magic, the
+// column count, the column names and the node count.
+std::string WithChildren(const std::string& image, size_t num_columns,
+                         size_t node, const std::string& children) {
+  const size_t line = 3 + num_columns + 4 * node + 3;
+  size_t begin = 0;
+  for (size_t i = 0; i < line; ++i) begin = image.find('\n', begin) + 1;
+  const size_t end = image.find('\n', begin);
+  return image.substr(0, begin) + children + image.substr(end);
+}
+
+TEST(ModelIoCorruptionTest, SelfChildTreeIsInvalidArgument) {
+  datagen::SimulationDataset sim = MakeSim(89);
+  const std::string path = UniqueTempPath("self_child.bwt");
+  const std::string image = SavedTreeImage(sim, path);
+  ASSERT_TRUE(LoadBellwetherTree(path, sim.items).ok());
+  const size_t k = sim.feature_columns.size();
+  // The root its own child, a child pointing back at the root, and one
+  // node listed under the root twice.
+  for (const std::string& children : {std::string("1 0"), std::string("2 1 0"),
+                                      std::string("2 1 1")}) {
+    SCOPED_TRACE(children);
+    WriteAll(path, WithChildren(image, k, 0, children));
+    auto r = LoadBellwetherTree(path, sim.items);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
+  std::remove(path.c_str());
+}
+
+// Seeded mutation loop over a saved tree, like the state and spill loops.
+// Every mutation must load or fail with a status; a tree that loads must
+// route every item and count its levels and leaves in finite time without
+// touching memory it does not own (the asan and ubsan presets check that).
+TEST(TreeMutationFuzzTest, EveryMutationLoadsOrFailsCleanly) {
+  datagen::SimulationDataset sim = MakeSim(93);
+  const std::string path = UniqueTempPath("fuzz.bwt");
+  const std::string base = SavedTreeImage(sim, path);
+  const auto num_items = static_cast<int32_t>(sim.items.num_rows());
+  Rng rng(2025);
+  int loaded = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    SCOPED_TRACE("iteration " + std::to_string(iter));
+    WriteAll(path, MutateBytes(base, rng));
+    auto r = LoadBellwetherTree(path, sim.items);
+    if (!r.ok()) continue;
+    ++loaded;
+    EXPECT_GE(r->NumLevels(), 1);
+    EXPECT_GE(r->NumLeaves(), 1);
+    for (int32_t item = 0; item < num_items; ++item) {
+      const int32_t node = r->RouteItem(item);
+      EXPECT_GE(node, -1);
+      EXPECT_LT(node, static_cast<int32_t>(r->nodes().size()));
+    }
+  }
+  // Flips inside stored doubles and digits still parse; the loop must
+  // reach trees that load.
+  EXPECT_GT(loaded, 0);
+  std::remove(path.c_str());
+}
+
 // ---- Bellwether state files ----
 
 // The raw little-endian bytes of a value, as the binary state stores it.

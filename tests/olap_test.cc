@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_map>
+#include <vector>
 
 #include "common/random.h"
 #include "olap/cost.h"
@@ -228,14 +230,49 @@ TEST(NumericAggTest, EmptyFinish) {
   EXPECT_DOUBLE_EQ(*a.Finish(table::AggFn::kCount), 0.0);
 }
 
-TEST(FkSetAggTest, UnionSemantics) {
-  FkSetAgg a, b;
-  a.Add(1);
-  a.Add(2);
-  b.Add(2);
-  b.Add(3);
-  a.Merge(b);
-  EXPECT_EQ(a.keys.size(), 3u);
+// The ids a KeyBitsAgg cell of `words` words holds, in visiting order.
+std::vector<int32_t> KeyIds(const KeyBitsAgg* cell, int32_t words) {
+  std::vector<int32_t> ids;
+  ForEachKeyBit(cell, words, [&ids](int32_t id) { ids.push_back(id); });
+  return ids;
+}
+
+TEST(KeyBitsAggTest, UnionSemantics) {
+  // Two-word cells: id 70 lives in the second word.
+  KeyBitsAgg a[2], b[2];
+  SetKeyBit(a, 1);
+  SetKeyBit(a, 2);
+  SetKeyBit(b, 2);
+  SetKeyBit(b, 3);
+  SetKeyBit(b, 70);
+  for (int w = 0; w < 2; ++w) a[w].Merge(b[w]);
+  EXPECT_EQ(KeyIds(a, 2), (std::vector<int32_t>{1, 2, 3, 70}));
+  EXPECT_TRUE(KeyBitsAgg{}.empty());
+  EXPECT_FALSE(a[1].empty());
+}
+
+TEST(KeyBitsAggTest, WordsCoverTheDomain) {
+  EXPECT_EQ(KeyBitsWords(0), 1);
+  EXPECT_EQ(KeyBitsWords(1), 1);
+  EXPECT_EQ(KeyBitsWords(64), 1);
+  EXPECT_EQ(KeyBitsWords(65), 2);
+  EXPECT_EQ(KeyBitsWords(130), 3);
+}
+
+TEST(DenseKeyIdsTest, IdsAreRanksInAscendingKeyOrder) {
+  // key -> reference row, in no particular order, with negative keys.
+  const std::unordered_map<int64_t, size_t> key_rows = {
+      {40, 0}, {-7, 1}, {3, 2}, {-100, 3}, {0, 4}};
+  const DenseKeyIds ids(key_rows);
+  EXPECT_EQ(ids.size(), 5);
+  EXPECT_EQ(ids.words(), 1);
+  EXPECT_EQ(ids.Find(-100), 0);
+  EXPECT_EQ(ids.Find(-7), 1);
+  EXPECT_EQ(ids.Find(0), 2);
+  EXPECT_EQ(ids.Find(3), 3);
+  EXPECT_EQ(ids.Find(40), 4);
+  EXPECT_EQ(ids.Find(41), -1);
+  for (const auto& [key, row] : key_rows) EXPECT_EQ(ids.RowAt(ids.Find(key)), row);
 }
 
 TEST(ItemDictionaryTest, DenseIndices) {
@@ -375,22 +412,30 @@ TEST(SlidingRegionSpaceTest, CostModelAndIcebergStillExact) {
   EXPECT_EQ(brute.regions, pruned.regions);
 }
 
-TEST(RegionItemCubeTest, FkSetRollupIsExactUnderOverlap) {
+TEST(RegionItemCubeTest, KeyBitsRollupIsExactUnderOverlap) {
   RegionSpace space = MakeSpace(2);
   const auto& loc = std::get<HierarchicalDimension>(space.dim(1));
   const NodeId wi = *loc.FindNode("WI");
   const NodeId md = *loc.FindNode("MD");
-  RegionItemCube<FkSetAgg> cube(&space, 1);
-  // The same FK appears in two different states: the US rollup must count
-  // it once.
-  cube.BaseCell({1, wi}, 0).Add(42);
-  cube.BaseCell({1, md}, 0).Add(42);
-  cube.BaseCell({2, md}, 0).Add(43);
+  // Two items over a two-word domain: item i's bitmap is columns 2i, 2i+1.
+  constexpr int32_t kWords = 2;
+  RegionItemCube<KeyBitsAgg> cube(&space, 2 * kWords);
+  // The same key id appears in two different states: the US rollup must
+  // count it once.
+  SetKeyBit(&cube.BaseCell({1, wi}, 1 * kWords), 42);
+  SetKeyBit(&cube.BaseCell({1, md}, 1 * kWords), 42);
+  SetKeyBit(&cube.BaseCell({2, md}, 1 * kWords), 99);
+  SetKeyBit(&cube.BaseCell({2, wi}, 0 * kWords), 7);
   cube.Rollup();
   const RegionId us1 = *space.FindRegion({"1-1", "US"});
   const RegionId us2 = *space.FindRegion({"1-2", "US"});
-  EXPECT_EQ(cube.Cell(us1, 0).keys.size(), 1u);
-  EXPECT_EQ(cube.Cell(us2, 0).keys.size(), 2u);
+  EXPECT_EQ(KeyIds(&cube.Cell(us1, 1 * kWords), kWords),
+            (std::vector<int32_t>{42}));
+  EXPECT_EQ(KeyIds(&cube.Cell(us2, 1 * kWords), kWords),
+            (std::vector<int32_t>{42, 99}));
+  EXPECT_TRUE(KeyIds(&cube.Cell(us1, 0 * kWords), kWords).empty());
+  EXPECT_EQ(KeyIds(&cube.Cell(us2, 0 * kWords), kWords),
+            (std::vector<int32_t>{7}));
 }
 
 TEST(CostModelTest, RegionCostIsSumOfFinestCells) {
