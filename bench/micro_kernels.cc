@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the kernels the bellwether
 // algorithms are built from: regression sufficient-statistics accumulation
-// and merging (Theorem 1's g and q), WLS solves, CUBE rollup, region
-// enumeration, the iceberg feasible-region search, and spill-file record
-// reads.
+// and merging (Theorem 1's g and q), WLS solves, k-fold cross-validation,
+// CUBE rollup, region enumeration, the iceberg feasible-region search, and
+// spill-file record reads.
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +16,8 @@
 #include "olap/cube.h"
 #include "olap/iceberg.h"
 #include "olap/region.h"
+#include "regression/dataset.h"
+#include "regression/error.h"
 #include "regression/linear_model.h"
 #include "storage/training_data.h"
 
@@ -153,6 +155,29 @@ void BM_TrainingSseFromStats(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TrainingSseFromStats)->Arg(3)->Arg(6)->Arg(12)->Arg(24);
+
+// 10-fold CV of one region's training set at arity 6: one pass into the
+// fold accumulators, then one merge-and-solve and one held-out residual scan
+// per fold. Arg = examples; the cost should grow linearly in it.
+void BM_CrossValidationError(benchmark::State& state) {
+  constexpr size_t kArity = 6;
+  const auto n = static_cast<size_t>(state.range(0));
+  Rng rng(5);
+  regression::Dataset data(kArity);
+  std::vector<double> x(kArity);
+  for (size_t i = 0; i < n; ++i) {
+    x[0] = 1.0;
+    for (size_t j = 1; j < kArity; ++j) x[j] = rng.NextDouble(-1, 1);
+    data.Add(x, rng.NextDouble());
+  }
+  for (auto _ : state) {
+    Rng cv_rng(6);
+    auto cv = regression::CrossValidationError(data, 10, &cv_rng);
+    benchmark::DoNotOptimize(cv);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_CrossValidationError)->Arg(100)->Arg(1000)->Arg(10000);
 
 // A degenerate cell: the last column copies column 1, and the packed cross
 // term between them is pushed past the diagonals, so the ordinary solve

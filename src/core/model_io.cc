@@ -76,6 +76,31 @@ Result<regression::FitDegradation> ReadDegradation(std::istream& in) {
   return static_cast<regression::FitDegradation>(d);
 }
 
+// A text artifact ends after its last record. Leftover tokens mean that a
+// length or count field was corrupted to a smaller value that still parses.
+Status CheckAtEnd(std::istream& in) {
+  in >> std::ws;
+  if (in.peek() != std::char_traits<char>::eof()) {
+    return Status::IoError("trailing data after the last record");
+  }
+  return Status::OK();
+}
+
+// The models of one cube or tree all predict from the same feature rows, so
+// every model-bearing entry must carry the same nonzero arity; a corrupted
+// vector length would otherwise load a model that reads past or short of
+// each row. `arity` holds the arity seen so far (0 before the first model).
+Status CheckModelArity(const regression::LinearModel& model, size_t* arity) {
+  if (model.num_features() == 0) {
+    return Status::InvalidArgument("model without coefficients");
+  }
+  if (*arity == 0) *arity = model.num_features();
+  if (model.num_features() != *arity) {
+    return Status::InvalidArgument("models disagree on their arity");
+  }
+  return Status::OK();
+}
+
 Result<std::ofstream> OpenForWrite(const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out) {
@@ -127,6 +152,7 @@ Result<LoadedLinearModel> LoadLinearModel(const std::string& path) {
   out.region = region;
   BW_ASSIGN_OR_RETURN(std::vector<double> beta, ReadVector(in));
   out.model = regression::LinearModel(std::move(beta));
+  BW_RETURN_IF_ERROR(CheckAtEnd(in));
   return out;
 }
 
@@ -187,6 +213,7 @@ Result<BellwetherTree> LoadBellwetherTree(const std::string& path,
   // is greater than its parent's and no node has two parents. Requiring
   // both makes every walk from the root finite and linear in the nodes.
   std::vector<uint8_t> has_parent(num_nodes, 0);
+  size_t arity = 0;
   for (int64_t index = 0; index < num_nodes; ++index) {
     TreeNode& n = nodes[index];
     int has_model = 0, is_numeric = 0;
@@ -201,6 +228,7 @@ Result<BellwetherTree> LoadBellwetherTree(const std::string& path,
     n.region = region;
     BW_ASSIGN_OR_RETURN(std::vector<double> beta, ReadVector(in));
     n.model = regression::LinearModel(std::move(beta));
+    if (n.has_model) BW_RETURN_IF_ERROR(CheckModelArity(n.model, &arity));
     if (!(in >> n.split.column >> is_numeric)) {
       return Status::IoError("truncated split");
     }
@@ -237,6 +265,7 @@ Result<BellwetherTree> LoadBellwetherTree(const std::string& path,
     }
   }
   if (nodes.empty()) return Status::InvalidArgument("empty tree");
+  BW_RETURN_IF_ERROR(CheckAtEnd(in));
   return BellwetherTree(std::move(feats), std::move(nodes));
 }
 
@@ -283,6 +312,7 @@ Result<BellwetherCube> LoadBellwetherCube(
   }
   std::vector<int64_t> cell_of(num_subsets, -1);
   std::vector<CubeCell> cells(num_cells);
+  size_t arity = 0;
   for (int64_t k = 0; k < num_cells; ++k) {
     CubeCell& cell = cells[k];
     int has_model = 0, has_cv = 0, fallback_pick = 0;
@@ -304,6 +334,9 @@ Result<BellwetherCube> LoadBellwetherCube(
     if (subset < 0 || subset >= num_subsets) {
       return Status::InvalidArgument("cell subset out of range");
     }
+    if (cell_of[subset] >= 0) {
+      return Status::InvalidArgument("two cube cells for one subset");
+    }
     cell.subset = subset;
     cell.region = region;
     cell.has_model = has_model != 0;
@@ -311,8 +344,10 @@ Result<BellwetherCube> LoadBellwetherCube(
     cell.fallback_pick = fallback_pick != 0;
     BW_ASSIGN_OR_RETURN(std::vector<double> beta, ReadVector(in));
     cell.model = regression::LinearModel(std::move(beta));
+    if (cell.has_model) BW_RETURN_IF_ERROR(CheckModelArity(cell.model, &arity));
     cell_of[subset] = k;
   }
+  BW_RETURN_IF_ERROR(CheckAtEnd(in));
   return BellwetherCube(std::move(subsets), std::move(cell_of),
                         std::move(cells));
 }

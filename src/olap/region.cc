@@ -52,10 +52,7 @@ RegionId RegionSpace::Encode(const RegionCoords& coords) const {
 RegionCoords RegionSpace::Decode(RegionId id) const {
   BW_DCHECK(id >= 0 && id < num_regions_);
   RegionCoords coords(dims_.size());
-  for (size_t d = 0; d < dims_.size(); ++d) {
-    coords[d] = static_cast<int32_t>(id / strides_[d]);
-    id %= strides_[d];
-  }
+  for (size_t d = 0; d < dims_.size(); ++d) coords[d] = PopCoord(&id, d);
   return coords;
 }
 
@@ -110,30 +107,39 @@ Result<RegionId> RegionSpace::FindRegion(
   return Encode(coords);
 }
 
+int32_t RegionSpace::PopCoord(RegionId* rest, size_t d) const {
+  const auto coord = static_cast<int32_t>(*rest / strides_[d]);
+  *rest %= strides_[d];
+  return coord;
+}
+
 bool RegionSpace::RegionContainsPoint(RegionId region,
                                       const PointCoords& point) const {
   BW_DCHECK(point.size() == dims_.size());
-  const RegionCoords coords = Decode(region);
+  BW_DCHECK(region >= 0 && region < num_regions_);
   for (size_t d = 0; d < dims_.size(); ++d) {
+    const int32_t coord = PopCoord(&region, d);
     if (const auto* h = std::get_if<HierarchicalDimension>(&dims_[d])) {
-      if (!h->Contains(coords[d], point[d])) return false;
+      if (!h->Contains(coord, point[d])) return false;
     } else {
       const auto& iv = std::get<IntervalDimension>(dims_[d]);
-      if (!iv.ContainsWindow(coords[d], point[d])) return false;
+      if (!iv.ContainsWindow(coord, point[d])) return false;
     }
   }
   return true;
 }
 
 bool RegionSpace::RegionContainsRegion(RegionId outer, RegionId inner) const {
-  const RegionCoords co = Decode(outer);
-  const RegionCoords ci = Decode(inner);
+  BW_DCHECK(outer >= 0 && outer < num_regions_);
+  BW_DCHECK(inner >= 0 && inner < num_regions_);
   for (size_t d = 0; d < dims_.size(); ++d) {
+    const int32_t co = PopCoord(&outer, d);
+    const int32_t ci = PopCoord(&inner, d);
     if (const auto* h = std::get_if<HierarchicalDimension>(&dims_[d])) {
-      if (!h->Contains(co[d], ci[d])) return false;
+      if (!h->Contains(co, ci)) return false;
     } else {
       const auto& iv = std::get<IntervalDimension>(dims_[d]);
-      if (!iv.WindowContainsWindow(co[d], ci[d])) return false;
+      if (!iv.WindowContainsWindow(co, ci)) return false;
     }
   }
   return true;

@@ -81,6 +81,12 @@ class RegionSpace {
   RegionId FullRegion() const;
 
  private:
+  /// Dimension d's coordinate of the region id whose dimensions 0..d-1 were
+  /// already popped off `rest`; leaves the remainder in `rest`. Decoding one
+  /// coordinate at a time lets the containment tests run without a
+  /// RegionCoords allocation.
+  int32_t PopCoord(RegionId* rest, size_t d) const;
+
   std::vector<Dimension> dims_;
   std::vector<int32_t> cardinalities_;
   std::vector<int64_t> strides_;  // region-id strides, row-major

@@ -60,6 +60,22 @@ double NormalInverseCdf(double p) {
          ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1);
 }
 
+// Weighted RMSE of `model` over the `count` rows row_at(0), row_at(1), ...
+// of `data`, summed in that order.
+template <typename RowAt>
+double WeightedRmse(const LinearModel& model, const Dataset& data,
+                    size_t count, RowAt row_at) {
+  double sse = 0.0;
+  double sum_w = 0.0;
+  for (size_t j = 0; j < count; ++j) {
+    const size_t i = row_at(j);
+    const double e = data.y(i) - model.Predict(data.x(i));
+    sse += data.w(i) * e * e;
+    sum_w += data.w(i);
+  }
+  return sum_w > 0.0 ? std::sqrt(sse / sum_w) : 0.0;
+}
+
 }  // namespace
 
 double NormalQuantileTwoSided(double confidence) {
@@ -68,15 +84,8 @@ double NormalQuantileTwoSided(double confidence) {
 }
 
 double EvaluateRmse(const LinearModel& model, const Dataset& data) {
-  if (data.num_examples() == 0) return 0.0;
-  double sse = 0.0;
-  double sum_w = 0.0;
-  for (size_t i = 0; i < data.num_examples(); ++i) {
-    const double e = data.y(i) - model.Predict(data.x(i));
-    sse += data.w(i) * e * e;
-    sum_w += data.w(i);
-  }
-  return sum_w > 0.0 ? std::sqrt(sse / sum_w) : 0.0;
+  return WeightedRmse(model, data, data.num_examples(),
+                      [](size_t i) { return i; });
 }
 
 Result<ErrorStats> TrainingSetError(const Dataset& data) {
@@ -100,29 +109,37 @@ Result<ErrorStats> CrossValidationError(const Dataset& data, int32_t k,
         "cross-validation needs at least 2 examples");
   }
   const int32_t folds = std::min<int32_t>(k, static_cast<int32_t>(n));
-  // Random permutation -> round-robin fold assignment.
+  // Random permutation -> round-robin fold assignment: shuffled position i
+  // belongs to fold i % folds.
   std::vector<size_t> order(n);
   for (size_t i = 0; i < n; ++i) order[i] = i;
   rng->Shuffle(&order);
 
+  // One pass: each row goes into its fold's sufficient statistic.
+  const size_t p = data.num_features();
+  const auto stride = static_cast<size_t>(folds);
+  std::vector<RegressionSuffStats> fold_stats(stride, RegressionSuffStats(p));
+  for (size_t i = 0; i < n; ++i) {
+    const size_t row = order[i];
+    fold_stats[i % stride].Add(data.x(row), data.y(row), data.w(row));
+  }
+
   std::vector<double> fold_errors;
   fold_errors.reserve(folds);
-  std::vector<size_t> train_idx, test_idx;
-  for (int32_t f = 0; f < folds; ++f) {
-    train_idx.clear();
-    test_idx.clear();
-    for (size_t i = 0; i < n; ++i) {
-      if (static_cast<int32_t>(i % folds) == f) {
-        test_idx.push_back(order[i]);
-      } else {
-        train_idx.push_back(order[i]);
-      }
+  RegressionSuffStats train(p);
+  for (size_t f = 0; f < stride; ++f) {
+    // Theorem 1: the training fold's statistic is the merge of the others.
+    train.Reset();
+    for (size_t g = 0; g < stride; ++g) {
+      if (g != f) train.Merge(fold_stats[g]);
     }
-    if (test_idx.empty() || train_idx.empty()) continue;
-    const Dataset train = data.Subset(train_idx);
-    auto model = FitLeastSquares(train);
-    if (!model.ok()) continue;  // degenerate fold (e.g. collinear subset)
-    fold_errors.push_back(EvaluateRmse(*model, data.Subset(test_idx)));
+    auto model = train.Fit();
+    if (!model.ok()) continue;  // unsolvable fold (e.g. non-finite X'WX)
+    // The held-out error comes from the fold's own residuals, not from the
+    // expanded Y'WY - 2b'X'WY + b'X'WXb, which cancels for a well-fit model.
+    const size_t count = (n - f + stride - 1) / stride;
+    fold_errors.push_back(WeightedRmse(
+        *model, data, count, [&](size_t j) { return order[f + j * stride]; }));
   }
   if (fold_errors.empty()) {
     return Status::NumericError("no usable cross-validation fold");

@@ -43,9 +43,16 @@ double EvaluateRmse(const LinearModel& model, const Dataset& data);
 /// degrees-of-freedom correction of §6.4. Cheap: one pass + one solve.
 Result<ErrorStats> TrainingSetError(const Dataset& data);
 
-/// k-fold cross-validation RMSE (§2). Deterministic for a fixed *rng: fold
-/// assignment consumes the generator. Folds with an unsolvable fit are
-/// skipped; fails when no fold is usable or data is smaller than 2 examples.
+/// k-fold cross-validation RMSE (§2), computed from fold statistics. The n
+/// row positions are shuffled once (the only use of *rng) and position i
+/// goes to fold i % min(k, n). One pass adds every row to its fold's
+/// RegressionSuffStats; each fold's training statistic is then the merge of
+/// the other folds' (Theorem 1), solved with Fit(), so no rows are copied
+/// and nothing is refit from the rows. The held-out error is the weighted
+/// RMSE of the fold's own residuals, not the expanded
+/// Y'WY - 2b'X'WY + b'X'WXb, which cancels for a well-fit model.
+/// Deterministic for a fixed *rng. Folds with an unsolvable fit are skipped;
+/// fails when no fold is usable or data is smaller than 2 examples.
 Result<ErrorStats> CrossValidationError(const Dataset& data, int32_t k,
                                         Rng* rng);
 

@@ -5,6 +5,8 @@
 #include "core/bellwether_cube.h"
 #include "core/eval_util.h"
 #include "datagen/simulation.h"
+#include "obs/heap_track.h"
+#include "obs/trace.h"
 #include "storage/training_data.h"
 
 namespace bellwether::core {
@@ -60,6 +62,58 @@ TEST(ItemSubsetSpaceTest, ContainmentMatchesCoordinates) {
     EXPECT_TRUE(subsets->SubsetContainsItem(
         subsets->space().Encode({0, 0, 0}), i));
   }
+}
+
+// The cube CV row filter asks SubsetContainsItem for every retained row of
+// every cell, so the containment tests decode coordinates in place instead
+// of through a RegionCoords vector — and still agree with the decoded form.
+TEST(ItemSubsetSpaceTest, SubsetContainsItemAllocatesNothing) {
+  datagen::SimulationDataset sim = MakeSim(4);
+  auto subsets = MakeSubsets(sim);
+  const olap::RegionSpace& space = subsets->space();
+  for (SubsetId s = 0; s < subsets->NumSubsets(); ++s) {
+    const olap::RegionCoords coords = space.Decode(s);
+    for (int32_t i = 0; i < subsets->num_items(); ++i) {
+      bool want = true;
+      for (size_t d = 0; d < space.num_dims(); ++d) {
+        const auto& h = std::get<olap::HierarchicalDimension>(space.dim(d));
+        want = want && h.Contains(coords[d], subsets->ItemCoords(i)[d]);
+      }
+      ASSERT_EQ(subsets->SubsetContainsItem(s, i), want);
+    }
+    for (SubsetId inner = 0; inner < subsets->NumSubsets(); ++inner) {
+      const olap::RegionCoords ci = space.Decode(inner);
+      bool want = true;
+      for (size_t d = 0; d < space.num_dims(); ++d) {
+        const auto& h = std::get<olap::HierarchicalDimension>(space.dim(d));
+        want = want && h.Contains(coords[d], ci[d]);
+      }
+      ASSERT_EQ(space.RegionContainsRegion(s, inner), want);
+    }
+  }
+
+  if (!obs::HeapTracker::interposed()) {
+    GTEST_SKIP() << "sanitizer build: allocator interposition compiled out";
+  }
+  // A disabled trace: the span only labels allocations.
+  obs::Trace quiet;
+  quiet.set_enabled(false);
+  int64_t contained = 0;
+  obs::HeapTracker::Enable();
+  {
+    obs::TraceSpan span("contains-alloc", "test", &quiet);
+    for (SubsetId s = 0; s < subsets->NumSubsets(); ++s) {
+      for (int32_t i = 0; i < subsets->num_items(); ++i) {
+        contained += subsets->SubsetContainsItem(s, i) ? 1 : 0;
+        contained += space.RegionContainsRegion(s, s) ? 1 : 0;
+      }
+    }
+  }
+  const auto snapshot = obs::HeapTracker::Snapshot();
+  obs::HeapTracker::Disable();
+  EXPECT_GT(contained, 0);
+  auto it = snapshot.find("contains-alloc");
+  EXPECT_EQ(it == snapshot.end() ? 0 : it->second.alloc_calls, 0);
 }
 
 TEST(ItemSubsetSpaceTest, SubsetDepthsAndLabels) {

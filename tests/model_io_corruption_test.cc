@@ -18,6 +18,7 @@
 #include "core/bellwether_cube.h"
 #include "core/bellwether_state.h"
 #include "core/bellwether_tree.h"
+#include "core/eval_util.h"
 #include "core/model_io.h"
 #include "datagen/simulation.h"
 #include "regression/linear_model.h"
@@ -166,6 +167,100 @@ TEST(ModelIoCorruptionTest, TruncatedCubeFailsCleanlyAtEveryBoundary) {
   std::remove(path.c_str());
 }
 
+TEST(ModelIoCorruptionTest, ShortenedVectorLengthIsIoError) {
+  // A length field corrupted to a smaller value parses; the value it no
+  // longer covers is left over after the last record.
+  const std::string path = UniqueTempPath("short.bwl");
+  WriteAll(path, "bellwether-linear-v1\n42\n2 1.5 2.5 3.5\n");
+  auto r = LoadLinearModel(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  std::remove(path.c_str());
+}
+
+// Lines of a text artifact, and the image they join back into.
+std::vector<std::string> Lines(const std::string& image) {
+  std::vector<std::string> lines;
+  size_t begin = 0;
+  while (begin < image.size()) {
+    const size_t end = image.find('\n', begin);
+    lines.push_back(image.substr(begin, end - begin));
+    begin = end + 1;
+  }
+  return lines;
+}
+
+std::string Join(const std::vector<std::string>& lines) {
+  std::string out;
+  for (const std::string& line : lines) out += line + "\n";
+  return out;
+}
+
+class CubeFileTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    datagen::SimulationDataset sim = MakeSim(97);
+    auto subsets = ItemSubsetSpace::Create(sim.items, sim.item_hierarchies);
+    ASSERT_TRUE(subsets.ok());
+    subsets_ = *subsets;
+    storage::MemoryTrainingData source(sim.sets);
+    CubeBuildConfig config;
+    config.min_subset_size = 20;
+    config.min_examples_per_model = 8;
+    auto cube = BuildBellwetherCubeOptimized(&source, subsets_, config);
+    ASSERT_TRUE(cube.ok());
+    path_ = UniqueTempPath("cube.bwc");
+    ASSERT_TRUE(SaveBellwetherCube(*cube, path_).ok());
+    // Magic, header, then a header line and a model line per cell.
+    lines_ = Lines(ReadAll(path_));
+    ASSERT_GE(lines_.size(), 6u);
+    ASSERT_TRUE(cube->cells()[0].has_model);
+    ASSERT_TRUE(cube->cells()[1].has_model);
+    ASSERT_TRUE(LoadBellwetherCube(path_, subsets_).ok());
+  }
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  Status LoadEdited(const std::vector<std::string>& lines) {
+    WriteAll(path_, Join(lines));
+    return LoadBellwetherCube(path_, subsets_).status();
+  }
+
+  std::shared_ptr<const ItemSubsetSpace> subsets_;
+  std::string path_;
+  std::vector<std::string> lines_;
+};
+
+TEST_F(CubeFileTest, TwoCellsForOneSubsetIsInvalidArgument) {
+  // The second cell claims the first cell's subset.
+  std::vector<std::string> lines = lines_;
+  const std::string first = lines[2].substr(0, lines[2].find(' '));
+  lines[4] = first + lines[4].substr(lines[4].find(' '));
+  const Status st = LoadEdited(lines);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(CubeFileTest, ModelOfAnotherArityIsInvalidArgument) {
+  // The second cell's model loses its last coefficient, length and all, so
+  // the file stays well-formed but the model would read short of each row.
+  std::vector<std::string> lines = lines_;
+  std::string& model = lines[5];
+  const size_t p = std::stoul(model.substr(0, model.find(' ')));
+  model = std::to_string(p - 1) +
+          model.substr(model.find(' '), model.rfind(' ') - model.find(' '));
+  const Status st = LoadEdited(lines);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(CubeFileTest, TrailingRecordIsIoError) {
+  std::vector<std::string> lines = lines_;
+  lines.push_back("7");
+  const Status st = LoadEdited(lines);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kIoError);
+}
+
 TEST(ModelIoCorruptionTest, TruncatedTreeFailsCleanly) {
   datagen::SimulationDataset sim = MakeSim(85);
   storage::MemoryTrainingData source(sim.sets);
@@ -270,6 +365,30 @@ TEST(ModelIoCorruptionTest, SelfChildTreeIsInvalidArgument) {
   std::remove(path.c_str());
 }
 
+TEST(ModelIoCorruptionTest, TreeNodeModelOfAnotherArityIsInvalidArgument) {
+  datagen::SimulationDataset sim = MakeSim(89);
+  const std::string path = UniqueTempPath("arity.bwt");
+  const std::string image = SavedTreeImage(sim, path);
+  // The root's model line (the line after its header) with one coefficient
+  // dropped, length and all.
+  std::vector<std::string> lines = Lines(image);
+  std::string& model = lines[3 + sim.feature_columns.size() + 1];
+  const size_t p = std::stoul(model.substr(0, model.find(' ')));
+  ASSERT_GT(p, 1u);
+  model = std::to_string(p - 1) +
+          model.substr(model.find(' '), model.rfind(' ') - model.find(' '));
+  WriteAll(path, Join(lines));
+  auto r = LoadBellwetherTree(path, sim.items);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  // Trailing data after the last node.
+  WriteAll(path, image + "0\n");
+  r = LoadBellwetherTree(path, sim.items);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  std::remove(path.c_str());
+}
+
 // Seeded mutation loop over a saved tree, like the state and spill loops.
 // Every mutation must load or fail with a status; a tree that loads must
 // route every item and count its levels and leaves in finite time without
@@ -297,6 +416,71 @@ TEST(TreeMutationFuzzTest, EveryMutationLoadsOrFailsCleanly) {
   }
   // Flips inside stored doubles and digits still parse; the loop must
   // reach trees that load.
+  EXPECT_GT(loaded, 0);
+  std::remove(path.c_str());
+}
+
+// Seeded mutation loop over a saved linear model. Every mutation must load
+// or fail with a status; a model that loads must predict from a row of its
+// own arity.
+TEST(LinearModelMutationFuzzTest, EveryMutationLoadsOrFailsCleanly) {
+  const std::string path = UniqueTempPath("fuzz.bwl");
+  regression::LinearModel model({1.5, -0.25, 3.0e-7, 42.0, kInf, -1e300});
+  ASSERT_TRUE(SaveLinearModel(model, 123456, path).ok());
+  const std::string base = ReadAll(path);
+  Rng rng(2026);
+  int loaded = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    SCOPED_TRACE("iteration " + std::to_string(iter));
+    WriteAll(path, MutateBytes(base, rng));
+    auto r = LoadLinearModel(path);
+    if (!r.ok()) continue;
+    ++loaded;
+    const std::vector<double> x(r->model.num_features(), 1.0);
+    (void)r->model.Predict(x);
+  }
+  EXPECT_GT(loaded, 0);
+  std::remove(path.c_str());
+}
+
+// Seeded mutation loop over a saved cube with CV statistics. Every mutation
+// must load or fail with a status; a cube that loads must answer FindCell
+// for every subset and PredictItem for every item against the simulation's
+// feature rows without touching memory it does not own (the asan and ubsan
+// presets check that).
+TEST(CubeMutationFuzzTest, EveryMutationLoadsOrFailsCleanly) {
+  datagen::SimulationDataset sim = MakeSim(95);
+  auto subsets = ItemSubsetSpace::Create(sim.items, sim.item_hierarchies);
+  ASSERT_TRUE(subsets.ok());
+  storage::MemoryTrainingData source(sim.sets);
+  CubeBuildConfig config;
+  config.min_subset_size = 20;
+  config.min_examples_per_model = 8;
+  config.compute_cv_stats = true;
+  auto cube = BuildBellwetherCubeOptimized(&source, *subsets, config);
+  ASSERT_TRUE(cube.ok());
+  ASSERT_FALSE(cube->cells().empty());
+  const std::string path = UniqueTempPath("fuzz.bwc");
+  ASSERT_TRUE(SaveBellwetherCube(*cube, path).ok());
+  const std::string base = ReadAll(path);
+  ASSERT_TRUE(LoadBellwetherCube(path, *subsets).ok());
+
+  const RegionFeatureLookup lookup(&sim.sets);
+  Rng rng(2027);
+  int loaded = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    SCOPED_TRACE("iteration " + std::to_string(iter));
+    WriteAll(path, MutateBytes(base, rng));
+    auto r = LoadBellwetherCube(path, *subsets);
+    if (!r.ok()) continue;
+    ++loaded;
+    for (SubsetId s = 0; s < (*subsets)->NumSubsets(); ++s) {
+      (void)r->FindCell(s);
+    }
+    for (int32_t item = 0; item < (*subsets)->num_items(); ++item) {
+      (void)r->PredictItem(item, lookup);
+    }
+  }
   EXPECT_GT(loaded, 0);
   std::remove(path.c_str());
 }

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "obs/heap_track.h"
+#include "obs/trace.h"
 #include "regression/dataset.h"
 #include "regression/error.h"
 #include "regression/linear_model.h"
@@ -333,6 +337,231 @@ TEST(ErrorTest, EvaluateRmseKnownValue) {
   d.Add({1.0, 1.0}, 2.0);  // error 1
   d.Add({1.0, 2.0}, 2.0);  // error 0
   EXPECT_NEAR(EvaluateRmse(model, d), std::sqrt(0.5), 1e-12);
+}
+
+// ---- Cross-validation from fold statistics vs the row-based oracle ----
+
+// The row-based k-fold CV that CrossValidationError replaced: the same
+// shuffle and round-robin folds, but every fold copies its training and test
+// rows and refits from a fresh scan. Kept as the oracle for the
+// fold-statistics path, which differs from it only in the summation order of
+// each training statistic.
+Result<ErrorStats> RowBasedCrossValidationError(const Dataset& data,
+                                                int32_t k, Rng* rng) {
+  if (k < 2) return Status::InvalidArgument("cross-validation needs k >= 2");
+  const size_t n = data.num_examples();
+  if (n < 2) {
+    return Status::FailedPrecondition(
+        "cross-validation needs at least 2 examples");
+  }
+  const int32_t folds = std::min<int32_t>(k, static_cast<int32_t>(n));
+  std::vector<size_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = i;
+  rng->Shuffle(&order);
+
+  std::vector<double> fold_errors;
+  std::vector<size_t> train_idx, test_idx;
+  for (int32_t f = 0; f < folds; ++f) {
+    train_idx.clear();
+    test_idx.clear();
+    for (size_t i = 0; i < n; ++i) {
+      if (static_cast<int32_t>(i % folds) == f) {
+        test_idx.push_back(order[i]);
+      } else {
+        train_idx.push_back(order[i]);
+      }
+    }
+    if (test_idx.empty() || train_idx.empty()) continue;
+    auto model = FitLeastSquares(data.Subset(train_idx));
+    if (!model.ok()) continue;
+    fold_errors.push_back(EvaluateRmse(*model, data.Subset(test_idx)));
+  }
+  if (fold_errors.empty()) {
+    return Status::NumericError("no usable cross-validation fold");
+  }
+  double mean = 0.0;
+  for (double e : fold_errors) mean += e;
+  mean /= static_cast<double>(fold_errors.size());
+  double var = 0.0;
+  for (double e : fold_errors) var += (e - mean) * (e - mean);
+  var = fold_errors.size() > 1
+            ? var / static_cast<double>(fold_errors.size() - 1)
+            : 0.0;
+  ErrorStats out;
+  out.rmse = mean;
+  out.stddev = std::sqrt(var);
+  out.num_folds = static_cast<int32_t>(fold_errors.size());
+  return out;
+}
+
+// A well-conditioned random design of arity p (intercept first), optionally
+// weighted.
+Dataset MakeRandomDesign(size_t n, size_t p, bool weighted, Rng& rng) {
+  Dataset d(p);
+  std::vector<double> x(p);
+  for (size_t i = 0; i < n; ++i) {
+    x[0] = 1.0;
+    double y = 2.0;
+    for (size_t j = 1; j < p; ++j) {
+      x[j] = rng.NextDouble(-3, 3);
+      y += (0.5 + static_cast<double>(j)) * x[j];
+    }
+    y += rng.NextGaussian();
+    if (weighted) {
+      d.AddWeighted(x, y, rng.NextDouble(0.25, 4.0));
+    } else {
+      d.Add(x, y);
+    }
+  }
+  return d;
+}
+
+// Relative gap of the fold-statistics CV to the oracle, measured against
+// the RMSE (the stddev is a difference of fold errors, so its rounding
+// scales with them, not with itself). Also checks the fold count and that
+// both paths leave the Rng in the same state.
+double CvGapToOracle(const Dataset& d, int32_t k, uint64_t seed) {
+  Rng fast_rng(seed), oracle_rng(seed);
+  auto fast = CrossValidationError(d, k, &fast_rng);
+  auto oracle = RowBasedCrossValidationError(d, k, &oracle_rng);
+  EXPECT_EQ(fast.ok(), oracle.ok());
+  EXPECT_EQ(fast_rng.NextUint64(), oracle_rng.NextUint64());
+  if (!fast.ok() || !oracle.ok()) return 0.0;
+  EXPECT_EQ(fast->num_folds, oracle->num_folds);
+  const double scale = std::max(oracle->rmse, 1e-300);
+  return std::max(std::abs(fast->rmse - oracle->rmse),
+                  std::abs(fast->stddev - oracle->stddev)) /
+         scale;
+}
+
+TEST(CvFoldStatsTest, MatchesRowOracleOnRandomDesigns) {
+  Rng rng(4242);
+  double worst = 0.0;
+  for (bool weighted : {false, true}) {
+    for (size_t p : {1, 2, 3, 6, 8, 11}) {
+      for (size_t n : {12, 57, 200, 1000}) {
+        for (int32_t k : {2, 5, 10}) {
+          // Well-conditioned: every training fold has at least 2p rows.
+          if (n * (k - 1) / k < 2 * p) continue;
+          SCOPED_TRACE("weighted=" + std::to_string(weighted) +
+                       " p=" + std::to_string(p) + " n=" + std::to_string(n) +
+                       " k=" + std::to_string(k));
+          const Dataset d = MakeRandomDesign(n, p, weighted, rng);
+          const double gap = CvGapToOracle(d, k, rng.NextUint64());
+          EXPECT_LE(gap, 1e-9);
+          worst = std::max(worst, gap);
+        }
+      }
+    }
+  }
+  RecordProperty("max_relative_gap", std::to_string(worst));
+}
+
+TEST(CvFoldStatsTest, FewerExamplesThanFoldsUsesOneFoldPerExample) {
+  Rng rng(7);
+  const Dataset d = MakeRandomDesign(6, 2, /*weighted=*/false, rng);
+  Rng r(11);
+  auto cv = CrossValidationError(d, 10, &r);
+  ASSERT_TRUE(cv.ok());
+  EXPECT_EQ(cv->num_folds, 6);
+  EXPECT_LE(CvGapToOracle(d, 10, 11), 1e-9);
+}
+
+TEST(CvFoldStatsTest, TwoExamplesGiveTwoFolds) {
+  Dataset d(1);
+  d.Add({1.0}, 3.0);
+  d.Add({1.0}, 5.0);
+  Rng r(3);
+  auto cv = CrossValidationError(d, 10, &r);
+  ASSERT_TRUE(cv.ok());
+  // Each fold trains on the other example's mean and misses by 2.
+  EXPECT_EQ(cv->num_folds, 2);
+  EXPECT_DOUBLE_EQ(cv->rmse, 2.0);
+  EXPECT_DOUBLE_EQ(cv->stddev, 0.0);
+  EXPECT_EQ(CvGapToOracle(d, 10, 3), 0.0);
+}
+
+TEST(CvFoldStatsTest, UnsolvableFoldsAreSkippedOnBothPaths) {
+  // One row whose square overflows makes X'WX non-finite for every training
+  // fold that contains it; those fits fail and are skipped, and only the
+  // fold that holds the row out is scored (its error is infinite, since the
+  // row is in its test set).
+  Rng rng(19);
+  Dataset d = MakeRandomDesign(40, 2, /*weighted=*/false, rng);
+  d.Add({1.0, 1e200}, 1.0);
+  Rng fast_rng(5), oracle_rng(5);
+  auto fast = CrossValidationError(d, 10, &fast_rng);
+  auto oracle = RowBasedCrossValidationError(d, 10, &oracle_rng);
+  ASSERT_TRUE(fast.ok());
+  ASSERT_TRUE(oracle.ok());
+  EXPECT_EQ(fast->num_folds, 1);
+  EXPECT_EQ(fast->num_folds, oracle->num_folds);
+  EXPECT_EQ(fast->rmse, oracle->rmse);
+  EXPECT_EQ(fast_rng.NextUint64(), oracle_rng.NextUint64());
+}
+
+TEST(CvFoldStatsTest, NoSolvableFoldFailsOnBothPaths) {
+  // Two overflowing rows in a two-row dataset: no fold can be fitted.
+  Dataset d(2);
+  d.Add({1.0, 1e200}, 1.0);
+  d.Add({1.0, -1e200}, 2.0);
+  Rng fast_rng(5), oracle_rng(5);
+  auto fast = CrossValidationError(d, 10, &fast_rng);
+  auto oracle = RowBasedCrossValidationError(d, 10, &oracle_rng);
+  ASSERT_FALSE(fast.ok());
+  ASSERT_FALSE(oracle.ok());
+  EXPECT_EQ(fast.status().code(), oracle.status().code());
+}
+
+TEST(CvFoldStatsTest, CollinearFoldsAgreeWithOracle) {
+  // A copied column makes every training fold's X'WX singular; the ridge
+  // ladder of Fit() solves each one, on both paths alike.
+  Rng rng(23);
+  Dataset d(3);
+  for (int i = 0; i < 80; ++i) {
+    const double x = rng.NextDouble(-2, 2);
+    d.Add({1.0, x, x}, 1.0 + 3.0 * x + 0.1 * rng.NextGaussian());
+  }
+  EXPECT_LE(CvGapToOracle(d, 10, 29), 1e-9);
+}
+
+TEST(CvFoldStatsTest, InvalidArgumentsMatchOracle) {
+  Rng rng(1);
+  const Dataset d = MakeRandomDesign(20, 2, /*weighted=*/false, rng);
+  Rng a(2), b(2);
+  EXPECT_EQ(CrossValidationError(d, 1, &a).status().code(),
+            RowBasedCrossValidationError(d, 1, &b).status().code());
+  EXPECT_EQ(a.NextUint64(), b.NextUint64());
+}
+
+// Allocations do not grow with n beyond the one shuffled index vector: k
+// fold accumulators, one training accumulator and k fitted models.
+TEST(CvFoldStatsTest, AllocationCountDoesNotGrowWithExamples) {
+  if (!obs::HeapTracker::interposed()) {
+    GTEST_SKIP() << "sanitizer build: allocator interposition compiled out";
+  }
+  obs::Trace quiet;
+  quiet.set_enabled(false);
+  auto count_allocs = [&](size_t n) {
+    Rng rng(31);
+    const Dataset d = MakeRandomDesign(n, 6, /*weighted=*/true, rng);
+    Rng cv_rng(37);
+    obs::HeapTracker::Enable();
+    bool ok = false;
+    {
+      obs::TraceSpan span("cv-alloc", "test", &quiet);
+      ok = CrossValidationError(d, 10, &cv_rng).ok();
+    }
+    const auto snapshot = obs::HeapTracker::Snapshot();
+    obs::HeapTracker::Disable();
+    EXPECT_TRUE(ok);
+    auto it = snapshot.find("cv-alloc");
+    return it == snapshot.end() ? int64_t{0} : it->second.alloc_calls;
+  };
+  const int64_t small = count_allocs(200);
+  const int64_t large = count_allocs(2000);
+  EXPECT_GT(small, 0);
+  EXPECT_EQ(small, large);
 }
 
 }  // namespace
